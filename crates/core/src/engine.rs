@@ -79,6 +79,7 @@ struct PhaseMetrics {
     fuel_consumed: Counter,
     records_allocated: Counter,
     sets_allocated: Counter,
+    set_entries_inserted: Counter,
     field_offsets_resolved: Counter,
     dyn_field_fallbacks: Counter,
     /// Lowering-time twins of the two eval counters above: offsets the
@@ -116,6 +117,7 @@ impl PhaseMetrics {
             fuel_consumed: reg.counter("eval.fuel_consumed"),
             records_allocated: reg.counter("eval.records_allocated"),
             sets_allocated: reg.counter("eval.sets_allocated"),
+            set_entries_inserted: reg.counter("eval.set_entries_inserted"),
             field_offsets_resolved: reg.counter("eval.field_offsets_resolved"),
             dyn_field_fallbacks: reg.counter("eval.dyn_field_fallbacks"),
             lower_offsets: reg.counter("trans.offsets_resolved"),
@@ -414,21 +416,12 @@ impl Engine {
         let before = self.machine.stats();
         let mut span = self.tracer.span("eval");
         let r = self.machine.eval_global(e);
-        let after = self.machine.stats();
-        span.attr("fuel", after.fuel_consumed - before.fuel_consumed);
-        span.attr(
-            "records",
-            after.records_allocated - before.records_allocated,
-        );
-        span.attr("sets", after.sets_allocated - before.sets_allocated);
-        span.attr(
-            "offsets",
-            after.field_offsets_resolved - before.field_offsets_resolved,
-        );
-        span.attr(
-            "dyn_fallbacks",
-            after.dyn_field_fallbacks - before.dyn_field_fallbacks,
-        );
+        let m = self.machine.stats().since(before);
+        span.attr("fuel", m.fuel_consumed);
+        span.attr("records", m.records_allocated);
+        span.attr("sets", m.sets_allocated);
+        span.attr("offsets", m.field_offsets_resolved);
+        span.attr("dyn_fallbacks", m.dyn_field_fallbacks);
         let dur = span.finish(&self.tracer);
         self.phases.eval_ns.observe(dur);
         Ok(r?)
@@ -473,7 +466,7 @@ impl Engine {
         if self.compile_tier {
             self.cx.enable_table();
         }
-        let scheme = self.infer_phase(|cx, tenv| cx.infer_scheme(tenv, &ast))?;
+        let scheme = self.infer_phase(|cx, tenv| cx.infer_statement(tenv, &ast))?;
         let deps = self.snapshot_deps(&ast);
         let mut p = Prepared::new(src, ast.clone(), scheme, deps, self.env_epoch);
         if self.compile_tier {
@@ -656,6 +649,7 @@ impl Engine {
             fuel_consumed: m.fuel_consumed,
             records_allocated: m.records_allocated,
             sets_allocated: m.sets_allocated,
+            set_entries_inserted: m.set_entries_inserted,
             field_offsets_resolved: m.field_offsets_resolved,
             dyn_field_fallbacks: m.dyn_field_fallbacks,
         }
@@ -693,6 +687,7 @@ impl Engine {
         self.phases.fuel_consumed.set(m.fuel_consumed);
         self.phases.records_allocated.set(m.records_allocated);
         self.phases.sets_allocated.set(m.sets_allocated);
+        self.phases.set_entries_inserted.set(m.set_entries_inserted);
         self.phases
             .field_offsets_resolved
             .set(m.field_offsets_resolved);
@@ -769,7 +764,7 @@ impl Engine {
             self.cx.enable_table();
         }
         let mut span = self.tracer.span("infer");
-        let scheme_res = self.cx.infer_scheme(&mut self.tenv, &ast);
+        let scheme_res = self.cx.infer_statement(&mut self.tenv, &ast);
         let i = {
             let after = self.cx.stats();
             polyview_types::InferStats {
@@ -816,17 +811,7 @@ impl Engine {
         let m_before = self.machine.stats();
         let mut span = self.tracer.span("eval");
         let v_res = self.machine.eval_global(code.as_deref().unwrap_or(&ast));
-        let m = {
-            let after = self.machine.stats();
-            polyview_eval::MachineStats {
-                fuel_consumed: after.fuel_consumed - m_before.fuel_consumed,
-                records_allocated: after.records_allocated - m_before.records_allocated,
-                sets_allocated: after.sets_allocated - m_before.sets_allocated,
-                field_offsets_resolved: after.field_offsets_resolved
-                    - m_before.field_offsets_resolved,
-                dyn_field_fallbacks: after.dyn_field_fallbacks - m_before.dyn_field_fallbacks,
-            }
-        };
+        let m = self.machine.stats().since(m_before);
         span.attr("fuel", m.fuel_consumed);
         span.attr("records", m.records_allocated);
         span.attr("sets", m.sets_allocated);
@@ -885,6 +870,7 @@ impl Engine {
             fuel_consumed: m.fuel_consumed,
             records_allocated: m.records_allocated,
             sets_allocated: m.sets_allocated,
+            set_entries_inserted: m.set_entries_inserted,
             field_offsets_resolved: m.field_offsets_resolved,
             dyn_field_fallbacks: m.dyn_field_fallbacks,
         })
@@ -1006,7 +992,7 @@ impl Engine {
     /// Infer the principal scheme of an expression without evaluating it.
     pub fn infer_expr(&mut self, src: &str) -> Result<Scheme, Error> {
         let e = self.parse_counted(src)?;
-        self.infer_phase(|cx, tenv| cx.infer_scheme(tenv, &e))
+        self.infer_phase(|cx, tenv| cx.infer_statement(tenv, &e))
     }
 
     /// Type-check and evaluate a pre-built AST (uncached; see
@@ -1015,7 +1001,7 @@ impl Engine {
         if self.compile_tier {
             self.cx.enable_table();
         }
-        let scheme = self.infer_phase(|cx, tenv| cx.infer_scheme(tenv, e))?;
+        let scheme = self.infer_phase(|cx, tenv| cx.infer_statement(tenv, e))?;
         let code = if self.compile_tier {
             self.lower_phase(|table, sigs| lower_statement(e, table, sigs))
                 .map(|(c, _, _)| c)
@@ -1068,7 +1054,7 @@ impl Engine {
                 if self.compile_tier {
                     self.cx.enable_table();
                 }
-                let scheme = self.infer_phase(|cx, tenv| cx.infer_scheme(tenv, e))?;
+                let scheme = self.infer_phase(|cx, tenv| cx.infer_statement(tenv, e))?;
                 let code = if self.compile_tier {
                     self.lower_phase(|table, sigs| lower_statement(e, table, sigs))
                         .map(|(c, _, _)| c)
@@ -1318,7 +1304,7 @@ impl Engine {
     /// equivalent, use [`Engine::prepare`] + [`Prepared::translation`].
     pub fn translate_expr(&mut self, src: &str) -> Result<Expr, Error> {
         let e = self.parse_counted(src)?;
-        self.infer_phase(|cx, tenv| cx.infer_scheme(tenv, &e))?;
+        self.infer_phase(|cx, tenv| cx.infer_statement(tenv, &e))?;
         let mut span = self.tracer.span("translate");
         let (core, ts) = polyview_trans::translate_measured(&e);
         span.attr("core_nodes", ts.translated_size);

@@ -80,6 +80,8 @@ pub struct Explain {
     pub records_allocated: u64,
     /// Sets constructed while running this statement.
     pub sets_allocated: u64,
+    /// Entries written into set maps while running this statement.
+    pub set_entries_inserted: u64,
     /// Field operations the evaluator executed through a resolved offset
     /// while running this statement.
     pub field_offsets_resolved: u64,
@@ -168,11 +170,12 @@ impl std::fmt::Display for Explain {
         )?;
         write!(
             f,
-            "eval       {:>8}  fuel={} records={} sets={} offsets={} runtime-fallbacks={}",
+            "eval       {:>8}  fuel={} records={} sets={} set-entries={} offsets={} runtime-fallbacks={}",
             ns(self.eval_ns),
             self.fuel_consumed,
             self.records_allocated,
             self.sets_allocated,
+            self.set_entries_inserted,
             self.field_offsets_resolved,
             self.dyn_field_fallbacks
         )
@@ -221,6 +224,7 @@ mod tests {
             fuel_consumed: 3,
             records_allocated: 0,
             sets_allocated: 0,
+            set_entries_inserted: 0,
             field_offsets_resolved: 1,
             dyn_field_fallbacks: 0,
         };

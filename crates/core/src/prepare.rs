@@ -383,6 +383,9 @@ pub struct EngineStats {
     pub records_allocated: u64,
     /// Sets constructed ([`polyview_eval::MachineStats::sets_allocated`]).
     pub sets_allocated: u64,
+    /// Entries written into set maps
+    /// ([`polyview_eval::MachineStats::set_entries_inserted`]).
+    pub set_entries_inserted: u64,
     /// Field operations executed through a compile-time integer offset
     /// ([`polyview_eval::MachineStats::field_offsets_resolved`]).
     pub field_offsets_resolved: u64,
@@ -414,6 +417,7 @@ impl EngineStats {
             fuel_consumed: self.fuel_consumed + other.fuel_consumed,
             records_allocated: self.records_allocated + other.records_allocated,
             sets_allocated: self.sets_allocated + other.sets_allocated,
+            set_entries_inserted: self.set_entries_inserted + other.set_entries_inserted,
             field_offsets_resolved: self.field_offsets_resolved + other.field_offsets_resolved,
             dyn_field_fallbacks: self.dyn_field_fallbacks + other.dyn_field_fallbacks,
         }
@@ -473,10 +477,11 @@ impl std::fmt::Display for EngineStats {
         )?;
         write!(
             f,
-            "evaluator  fuel={} records={} sets={} offsets={} dyn-fallbacks={}",
+            "evaluator  fuel={} records={} sets={} set-entries={} offsets={} dyn-fallbacks={}",
             self.fuel_consumed,
             self.records_allocated,
             self.sets_allocated,
+            self.set_entries_inserted,
             self.field_offsets_resolved,
             self.dyn_field_fallbacks
         )

@@ -1,10 +1,11 @@
 //! Operational semantics for the view calculus.
 //!
 //! The evaluator implements the *meaning* the paper assigns to the extended
-//! language: records are identity-carrying bundles of L-value slots
-//! (Section 2), objects are associations of a raw object and a viewing
-//! function (Section 3), sets of objects identify elements up to `objeq`
-//! with left-biased union (Section 3.1), and classes are pairs of a mutable
+//! language: records are identity-carrying bundles of fields whose
+//! mutable members are L-value slots (Section 2), objects are associations
+//! of a raw object and a viewing function (Section 3), sets of objects
+//! identify elements up to `objeq` with left-biased union (Section 3.1),
+//! and classes are pairs of a mutable
 //! own extent and a lazily evaluated inclusion computation with the
 //! visited-set algorithm of Section 4.4 for recursive groups.
 //!

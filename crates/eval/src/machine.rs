@@ -12,7 +12,7 @@ use crate::error::RuntimeError;
 use crate::profile::{Profile, Profiler};
 use crate::store::Store;
 use crate::value::{
-    Builtin, ClassId, Closure, Key, ObjVal, RecordVal, SetVal, SlotId, Value, ViewFn,
+    Builtin, ClassId, Closure, Field, Key, ObjVal, RecordVal, SetMap, SetVal, SlotId, Value, ViewFn,
 };
 use polyview_obs::{Clock, WallClock};
 use polyview_syntax::{ClassDef, Expr, Idx, Label, Layout, Lit, Name};
@@ -47,8 +47,16 @@ pub struct MachineStats {
     pub fuel_consumed: u64,
     /// Records constructed (record expressions, relobj raws, view tuples).
     pub records_allocated: u64,
-    /// Sets constructed by set-producing primitives.
+    /// Sets constructed by set-producing primitives. A union fold
+    /// (`map`, `filter`, any `hom` whose operator is set union) counts one
+    /// set, its accumulator, however many elements it folds.
     pub sets_allocated: u64,
+    /// Entries written into set maps the machine builds: elements of set
+    /// literals and extents, entries copied by `union` and by
+    /// `insert`/`delete` of a class's own extent, and entries a union fold
+    /// inserts into its accumulator. A quadratic fold shows up here as
+    /// n² growth (DESIGN.md §18).
+    pub set_entries_inserted: u64,
     /// Field operations executed through a compile-time integer offset:
     /// lowered `dot@i`/`extract@i`/`update@i` with a resolved index, and
     /// lowered record constructions. The compile tier's success metric.
@@ -60,6 +68,20 @@ pub struct MachineStats {
     /// building (view materialization, relobj raws) is *not* counted — it
     /// has no source field operation to lower (DESIGN.md §13).
     pub dyn_field_fallbacks: u64,
+}
+
+impl MachineStats {
+    /// The work done since `before` (component-wise difference).
+    pub fn since(self, before: MachineStats) -> MachineStats {
+        MachineStats {
+            fuel_consumed: self.fuel_consumed - before.fuel_consumed,
+            records_allocated: self.records_allocated - before.records_allocated,
+            sets_allocated: self.sets_allocated - before.sets_allocated,
+            set_entries_inserted: self.set_entries_inserted - before.set_entries_inserted,
+            field_offsets_resolved: self.field_offsets_resolved - before.field_offsets_resolved,
+            dyn_field_fallbacks: self.dyn_field_fallbacks - before.dyn_field_fallbacks,
+        }
+    }
 }
 
 /// The evaluation machine.
@@ -394,13 +416,8 @@ impl Machine {
                 let mut triples = Vec::with_capacity(fields.len());
                 for f in fields {
                     let v = self.eval_in(&f.expr, env)?;
-                    let slot = match v {
-                        // The paper's (rec) rule: an extracted L-value
-                        // becomes the field's slot — sharing, not copying.
-                        Value::LValue(s) => s,
-                        other => self.store.alloc(other),
-                    };
-                    triples.push((f.label.clone(), f.mutable, slot));
+                    let field = self.field_for(v, f.mutable);
+                    triples.push((f.label.clone(), f.mutable, field));
                 }
                 self.note_dyn_fallback("[record]");
                 Ok(self.build_record(triples))
@@ -408,28 +425,20 @@ impl Machine {
             Expr::Dot(e, l) => {
                 let v = self.eval_in(e, env)?;
                 let r = v.as_record()?;
-                let (_, slot) = self.field_slot(r, l, None)?;
-                Ok(self.store.get(slot).clone())
+                let i = self.field_offset(r, l, None)?;
+                Ok(self.store.read(&r.fields[i]).clone())
             }
             Expr::Extract(e, l) => {
                 let v = self.eval_in(e, env)?;
                 let r = v.as_record()?;
-                let (i, slot) = self.field_slot(r, l, None)?;
-                if !r.layout.is_mutable(i) {
-                    return Err(RuntimeError::ImmutableField(l.clone()));
-                }
-                Ok(Value::LValue(slot))
+                let i = self.field_offset(r, l, None)?;
+                Ok(Value::LValue(location(r, i, l)?))
             }
             Expr::Update(e, l, rhs) => {
                 let v = self.eval_in(e, env)?;
-                let slot = {
-                    let r = v.as_record()?;
-                    let (i, slot) = self.field_slot(r, l, None)?;
-                    if !r.layout.is_mutable(i) {
-                        return Err(RuntimeError::ImmutableField(l.clone()));
-                    }
-                    slot
-                };
+                let r = v.as_record()?;
+                let i = self.field_offset(r, l, None)?;
+                let slot = location(r, i, l)?;
                 let nv = self.eval_in(rhs, env)?;
                 self.store.set(slot, nv);
                 // A field write can change what any extent predicate
@@ -443,30 +452,22 @@ impl Machine {
                 let v = self.eval_in(e, env)?;
                 let off = self.resolve_idx(idx, env)?;
                 let r = v.as_record()?;
-                let (_, slot) = self.field_slot(r, l, off)?;
-                Ok(self.store.get(slot).clone())
+                let i = self.field_offset(r, l, off)?;
+                Ok(self.store.read(&r.fields[i]).clone())
             }
             Expr::ExtractAt(e, l, idx) => {
                 let v = self.eval_in(e, env)?;
                 let off = self.resolve_idx(idx, env)?;
                 let r = v.as_record()?;
-                let (i, slot) = self.field_slot(r, l, off)?;
-                if !r.layout.is_mutable(i) {
-                    return Err(RuntimeError::ImmutableField(l.clone()));
-                }
-                Ok(Value::LValue(slot))
+                let i = self.field_offset(r, l, off)?;
+                Ok(Value::LValue(location(r, i, l)?))
             }
             Expr::UpdateAt(e, l, idx, rhs) => {
                 let v = self.eval_in(e, env)?;
                 let off = self.resolve_idx(idx, env)?;
-                let slot = {
-                    let r = v.as_record()?;
-                    let (i, slot) = self.field_slot(r, l, off)?;
-                    if !r.layout.is_mutable(i) {
-                        return Err(RuntimeError::ImmutableField(l.clone()));
-                    }
-                    slot
-                };
+                let r = v.as_record()?;
+                let i = self.field_offset(r, l, off)?;
+                let slot = location(r, i, l)?;
                 let nv = self.eval_in(rhs, env)?;
                 self.store.set(slot, nv);
                 self.class_epoch += 1;
@@ -474,20 +475,17 @@ impl Machine {
             }
             Expr::RecordAt(layout, entries) => {
                 // Lowered construction: entries are in source (evaluation)
-                // order, each carrying its target slot; the layout is shared
-                // with every record built here, not recomputed.
-                let mut slots: Vec<SlotId> = vec![usize::MAX; layout.len()];
+                // order, each carrying its target offset; the layout is
+                // shared with every record built here, not recomputed.
+                const UNFILLED: Field = Field::Slot(usize::MAX);
+                let mut fields = vec![UNFILLED; layout.len()];
                 for (off, fe) in entries {
                     let v = self.eval_in(fe, env)?;
-                    let slot = match v {
-                        Value::LValue(s) => s,
-                        other => self.store.alloc(other),
-                    };
-                    slots[*off] = slot;
+                    fields[*off] = self.field_for(v, layout.is_mutable(*off));
                 }
                 debug_assert!(
-                    slots.iter().all(|s| *s != usize::MAX),
-                    "lowered record construction left a slot unfilled"
+                    !fields.iter().any(|f| matches!(f, Field::Slot(usize::MAX))),
+                    "lowered record construction left a field unfilled"
                 );
                 let id = self.fresh_id();
                 self.stats.records_allocated += 1;
@@ -495,7 +493,7 @@ impl Machine {
                 Ok(Value::Record(Rc::new(RecordVal {
                     id,
                     layout: layout.clone(),
-                    slots,
+                    fields,
                 })))
             }
             Expr::SetLit(es) => {
@@ -504,15 +502,14 @@ impl Machine {
                     elems.push(self.eval_in(e, env)?);
                 }
                 self.stats.sets_allocated += 1;
+                self.stats.set_entries_inserted += elems.len() as u64;
                 Ok(Value::Set(SetVal::from_elems(elems)))
             }
             Expr::Union(a, b) => {
                 let va = self.eval_in(a, env)?;
                 let vb = self.eval_in(b, env)?;
-                let sa = va.as_set()?;
-                let sb = vb.as_set()?;
                 self.stats.sets_allocated += 1;
-                Ok(Value::Set(sa.union_left(sb)))
+                Ok(Value::Set(self.union_counted(va.as_set()?, vb.as_set()?)))
             }
             Expr::Hom(s, f, op, z) => {
                 let vs = self.eval_in(s, env)?;
@@ -576,8 +573,7 @@ impl Machine {
                 for (l, e) in fields {
                     let v = self.eval_in(e, env)?;
                     let o = v.as_obj()?.clone();
-                    let slot = self.store.alloc(o.raw.clone());
-                    raw_fields.push((l.clone(), false, slot));
+                    raw_fields.push((l.clone(), false, Field::Inline(o.raw.clone())));
                     views.push((l.clone(), Rc::new(o.view.clone())));
                 }
                 // relobj creates a *new* raw object, hence new identity.
@@ -612,7 +608,7 @@ impl Machine {
                 // tr: update(C, OwnExt, union(C·OwnExt, {e})) — left-biased,
                 // so inserting an object already present (by objeq) keeps
                 // the existing element.
-                let updated = own.union_left(&SetVal::from_elems([ve]));
+                let updated = self.union_counted(&own, &SetVal::from_elems([ve]));
                 self.store.set(slot, Value::Set(updated));
                 self.class_epoch += 1;
                 Ok(Value::Unit)
@@ -624,6 +620,7 @@ impl Machine {
                 let cid = vc.as_class()?;
                 let slot = self.classes[cid].own_slot;
                 let own = self.store.get(slot).as_set()?.clone();
+                self.stats.set_entries_inserted += own.len() as u64;
                 let updated = own.difference(&SetVal::from_elems([ve]));
                 self.store.set(slot, Value::Set(updated));
                 self.class_epoch += 1;
@@ -690,49 +687,68 @@ impl Machine {
         Ok(includes)
     }
 
-    /// Build a record value from `(label, mutable, slot)` triples (any
-    /// order; slots already allocated). Used by un-lowered record
-    /// expressions and by machine-internal constructions (relobj raws,
-    /// view materialization) — the latter have no source field operation,
-    /// so this helper does not touch the offset/fallback counters.
-    fn build_record(&mut self, mut triples: Vec<(Label, bool, SlotId)>) -> Value {
+    /// The field a constructed record holds for value `v`. The store holds
+    /// only locations: an extracted L-value keeps its slot (the paper's
+    /// (rec) rule — sharing, not copying), a mutable field gets a fresh
+    /// slot, and any other value is held inline and freed with its record.
+    fn field_for(&mut self, v: Value, mutable: bool) -> Field {
+        match v {
+            Value::LValue(s) => Field::Slot(s),
+            v if mutable => Field::Slot(self.store.alloc(v)),
+            v => Field::Inline(v),
+        }
+    }
+
+    /// Build a record value from `(label, mutable, field)` triples (any
+    /// order). Used by un-lowered record expressions and by
+    /// machine-internal constructions (relobj raws, view materialization)
+    /// — the latter have no source field operation, so this helper does
+    /// not touch the offset/fallback counters.
+    fn build_record(&mut self, mut triples: Vec<(Label, bool, Field)>) -> Value {
         triples.sort_by(|a, b| a.0.cmp(&b.0));
         let layout = Layout::new(triples.iter().map(|(l, m, _)| (l.clone(), *m)));
-        let slots = triples.into_iter().map(|(_, _, s)| s).collect();
+        let fields = triples.into_iter().map(|(_, _, f)| f).collect();
         let id = self.fresh_id();
         self.stats.records_allocated += 1;
         Value::Record(Rc::new(RecordVal {
             id,
             layout: Rc::new(layout),
-            slots,
+            fields,
         }))
     }
 
-    /// Locate a field: `(offset, slot)`. With a resolved offset (`Some`)
-    /// this is a direct slot read — the fast path the compile tier buys —
+    /// Left-biased `a ∪ b`, counting the entries a fresh map copies
+    /// (none when either side is empty: the other is shared).
+    fn union_counted(&mut self, a: &SetVal, b: &SetVal) -> SetVal {
+        if !a.is_empty() && !b.is_empty() {
+            self.stats.set_entries_inserted += (a.len() + b.len()) as u64;
+        }
+        a.union_left(b)
+    }
+
+    /// Locate a field's offset. With a resolved offset (`Some`) this is a
+    /// direct field read — the fast path the compile tier buys —
     /// guarded by one label compare against the layout, in release builds
     /// too: a wrong-but-in-bounds compiled offset must degrade into the
     /// counted dynamic path below, never silently read the wrong field.
     /// Without a resolved offset (un-lowered op, or an index parameter
     /// that carried the unresolved sentinel) the label is looked up in
     /// the layout, and the fallback counter records the residue.
-    fn field_slot(
+    fn field_offset(
         &mut self,
         r: &RecordVal,
         l: &Label,
         resolved: Option<usize>,
-    ) -> Result<(usize, SlotId), RuntimeError> {
+    ) -> Result<usize, RuntimeError> {
         match resolved {
-            Some(i) if i < r.slots.len() && r.layout.label_at(i) == l => {
+            Some(i) if i < r.fields.len() && r.layout.label_at(i) == l => {
                 self.stats.field_offsets_resolved += 1;
-                Ok((i, r.slots[i]))
+                Ok(i)
             }
             _ => {
                 self.note_dyn_fallback(l.as_str());
-                let i = r
-                    .offset_of(l)
-                    .ok_or_else(|| RuntimeError::NoSuchField(l.clone()))?;
-                Ok((i, r.slots[i]))
+                r.offset_of(l)
+                    .ok_or_else(|| RuntimeError::NoSuchField(l.clone()))
             }
         }
     }
@@ -761,11 +777,7 @@ impl Machine {
         self.burn()?;
         match f {
             Value::Closure(c) => {
-                let mut env = c.env.clone();
-                if let Some(fx) = &c.fix_name {
-                    env = env.bind(fx.clone(), Value::Closure(c.clone()));
-                }
-                let env = env.bind(c.param.clone(), arg);
+                let env = closure_env(&c, arg);
                 self.eval_in(&c.body, &env)
             }
             Value::Builtin(b) => {
@@ -783,16 +795,74 @@ impl Machine {
     }
 
     /// `hom(S, f, op, z) = op(f(e1), op(f(e2), … op(f(en), z)…))`,
-    /// folding right over the canonical element order.
+    /// folding right over the canonical element order. A fold whose
+    /// operator is set union and whose seed is a set — every `map` and
+    /// `filter` — takes [`Machine::union_fold`] instead.
     fn hom(&mut self, s: SetVal, f: Value, op: Value, z: Value) -> Result<Value, RuntimeError> {
-        let elems: Vec<Value> = s.values().cloned().collect();
+        if let Value::Set(seed) = &z {
+            if is_union_op(&op) {
+                return self.union_fold(&s, &f, seed);
+            }
+        }
         let mut acc = z;
-        for e in elems.into_iter().rev() {
-            let fe = self.apply(f.clone(), e)?;
+        for e in s.values().rev() {
+            let fe = self.apply(f.clone(), e.clone())?;
             let partial = self.apply(op.clone(), fe)?;
             acc = self.apply(partial, acc)?;
         }
         Ok(acc)
+    }
+
+    /// `hom(S, f, union, z)` for a set seed `z`, in one owned map. The
+    /// elements are visited last to first, and each entry of `f(e)`
+    /// overwrites on a key collision: that is exactly
+    /// `acc := f(e) ∪ acc` with left bias, so representatives and the
+    /// order in which `f` runs are the generic fold's. The union
+    /// applications themselves are not evaluated and burn no fuel.
+    ///
+    /// When `f` is a closure whose body is a singleton literal `{e}` —
+    /// the body the `map` sugar emits — the value of `e` is inserted
+    /// directly instead of building a one-element set per element. The
+    /// literal node burns its fuel but opens no profiler frame.
+    fn union_fold(&mut self, s: &SetVal, f: &Value, seed: &SetVal) -> Result<Value, RuntimeError> {
+        self.stats.sets_allocated += 1;
+        self.stats.set_entries_inserted += seed.len() as u64;
+        let mut acc: SetMap = (*seed.0).clone();
+        let singleton = match f {
+            Value::Closure(c) => match &*c.body {
+                Expr::SetLit(es) if es.len() == 1 => Some((c, &es[0])),
+                _ => None,
+            },
+            _ => None,
+        };
+        for e in s.values().rev() {
+            match singleton {
+                Some((c, elem)) => {
+                    // `apply`'s fuel, then the literal node's.
+                    self.burn()?;
+                    let env = closure_env(c, e.clone());
+                    self.burn()?;
+                    let v = self.eval_in(elem, &env)?;
+                    self.stats.set_entries_inserted += 1;
+                    acc.insert(v.key(), v);
+                }
+                None => {
+                    let fe = self.apply(f.clone(), e.clone())?;
+                    self.insert_set(&fe, &mut acc)?;
+                }
+            }
+        }
+        Ok(Value::Set(SetVal(Rc::new(acc))))
+    }
+
+    /// Insert every entry of the set `v` into `acc`, overwriting.
+    fn insert_set(&mut self, v: &Value, acc: &mut SetMap) -> Result<(), RuntimeError> {
+        let s = v.as_set()?;
+        self.stats.set_entries_inserted += s.len() as u64;
+        for (k, x) in s.0.iter() {
+            acc.insert(k.clone(), x.clone());
+        }
+        Ok(())
     }
 
     /// Materialize a view: apply the viewing function to the raw object.
@@ -808,8 +878,7 @@ impl Machine {
                 let mut fields = Vec::with_capacity(vs.len());
                 for (i, v) in vs.iter().enumerate() {
                     let val = self.apply_view(v, raw.clone())?;
-                    let slot = self.store.alloc(val);
-                    fields.push((Label::tuple(i + 1), false, slot));
+                    fields.push((Label::tuple(i + 1), false, Field::Inline(val)));
                 }
                 Ok(self.build_record(fields))
             }
@@ -820,10 +889,9 @@ impl Machine {
                     let i = r
                         .offset_of(l)
                         .ok_or_else(|| RuntimeError::NoSuchField(l.clone()))?;
-                    let component_raw = self.store.get(r.slots[i]).clone();
+                    let component_raw = self.store.read(&r.fields[i]).clone();
                     let val = self.apply_view(v, component_raw)?;
-                    let slot = self.store.alloc(val);
-                    fields.push((l.clone(), false, slot));
+                    fields.push((l.clone(), false, Field::Inline(val)));
                 }
                 Ok(self.build_record(fields))
             }
@@ -843,6 +911,7 @@ impl Machine {
     pub fn fuse_objs(&mut self, objs: &[Rc<ObjVal>]) -> SetVal {
         assert!(!objs.is_empty(), "fuse of zero objects");
         self.stats.sets_allocated += 1;
+        self.stats.set_entries_inserted += 1;
         if objs.len() == 1 {
             return SetVal::from_elems([Value::Obj(objs[0].clone())]);
         }
@@ -926,7 +995,8 @@ impl Machine {
                     })));
                 }
             }
-            result = result.union_left(&SetVal::from_elems(included));
+            self.stats.set_entries_inserted += included.len() as u64;
+            result = self.union_counted(&result, &SetVal::from_elems(included));
         }
         Ok(result)
     }
@@ -995,7 +1065,7 @@ impl Machine {
         let r = record.as_record()?;
         let l = Label::new(label);
         let i = r.offset_of(&l).ok_or(RuntimeError::NoSuchField(l))?;
-        Ok(self.store.get(r.slots[i]).clone())
+        Ok(self.store.read(&r.fields[i]).clone())
     }
 
     /// Pretty-print a value, reading record fields through the store.
@@ -1017,13 +1087,13 @@ impl Machine {
             Value::Str(s) => format!("{s:?}"),
             Value::Record(r) => {
                 let mut out = String::from("[");
-                for (i, (l, mutable, slot)) in r.iter().enumerate() {
+                for (i, (l, mutable, field)) in r.iter().enumerate() {
                     if i > 0 {
                         out.push_str(", ");
                     }
                     out.push_str(l.as_str());
                     out.push_str(if mutable { " := " } else { " = " });
-                    out.push_str(&self.show_depth(self.store.get(slot), depth - 1));
+                    out.push_str(&self.show_depth(self.store.read(field), depth - 1));
                 }
                 out.push(']');
                 out
@@ -1055,5 +1125,45 @@ impl Machine {
     /// Expose the key of a value (for tests and the isa baseline).
     pub fn key_of(v: &Value) -> Key {
         v.key()
+    }
+}
+
+/// The environment a closure's body runs in when applied to `arg`: its
+/// captured environment, its own name if it is recursive, and the
+/// parameter.
+fn closure_env(c: &Rc<Closure>, arg: Value) -> Env {
+    let mut env = c.env.clone();
+    if let Some(fx) = &c.fix_name {
+        env = env.bind(fx.clone(), Value::Closure(Rc::clone(c)));
+    }
+    env.bind(c.param.clone(), arg)
+}
+
+/// The location of field `i` of `r`, for `extract` and `update`: only a
+/// mutable field has one to hand out (mutable fields are always slots).
+fn location(r: &RecordVal, i: usize, l: &Label) -> Result<SlotId, RuntimeError> {
+    match &r.fields[i] {
+        Field::Slot(s) if r.layout.is_mutable(i) => Ok(*s),
+        _ => Err(RuntimeError::ImmutableField(l.clone())),
+    }
+}
+
+/// Whether `op` is the curried set union `λa.λb. union(a, b)`: the
+/// operator the `map`/`filter`/`prod` sugar and the class translation
+/// emit, and the same term written by hand. Recognized on the operator
+/// *value* once per fold; union is syntax, not a builtin (builtins are
+/// monomorphic), so a closure of this exact shape is how it arrives.
+fn is_union_op(op: &Value) -> bool {
+    let Value::Closure(c) = op else {
+        return false;
+    };
+    let Expr::Lam(b, body) = &*c.body else {
+        return false;
+    };
+    match &**body {
+        Expr::Union(x, y) => {
+            matches!((&**x, &**y), (Expr::Var(x), Expr::Var(y)) if *x == c.param && y == b && *b != c.param)
+        }
+        _ => false,
     }
 }

@@ -13,7 +13,9 @@
 //! fresh `Rc`s, so a record reachable from two globals decodes to one
 //! allocation reachable from two globals — shared ids round-trip as
 //! shared, never duplicated. Slot-level sharing (the paper's `extract`)
-//! is free: `SlotId`s are indexes into the one flat store section.
+//! is free: a record field is either an inline value or a `SlotId`, an
+//! index into the one flat store section, so two records holding one
+//! location decode to two records holding one location.
 //!
 //! Soundness leans on an invariant of the evaluator: the value graph is
 //! **acyclic**. Recursion ties its knot at application time (a `fix`
@@ -32,7 +34,7 @@ use crate::builtins;
 use crate::env::Env;
 use crate::machine::{ClassData, IncludeSpec, Machine};
 use crate::store::Store;
-use crate::value::{Builtin, Closure, ObjVal, RecordVal, SetVal, Value, ViewFn};
+use crate::value::{Builtin, Closure, Field, ObjVal, RecordVal, SetVal, Value, ViewFn};
 use polyview_syntax::wire::{
     read_expr, read_label, read_layout, read_name, write_expr, write_label, write_layout,
     write_name, ByteReader, ByteWriter, WireError,
@@ -43,8 +45,13 @@ use std::rc::Rc;
 
 /// First bytes of every machine snapshot.
 pub const MACHINE_MAGIC: [u8; 4] = *b"PVMS";
-/// Format version; decoding any other version is a loud error.
-pub const MACHINE_VERSION: u32 = 1;
+/// Format version; decoding any other version is a loud error. Version 2
+/// encodes each record field as an inline value or a store slot (version
+/// 1 stored every field in a slot).
+pub const MACHINE_VERSION: u32 = 2;
+
+const FIELD_INLINE: u8 = 0;
+const FIELD_SLOT: u8 = 1;
 
 const NODE_DEF: u8 = 0;
 const NODE_REF: u8 = 1;
@@ -154,9 +161,18 @@ impl Enc {
         self.node(Rc::as_ptr(r) as usize, KIND_RECORD, |e| {
             e.w.u64(r.id);
             e.layout(&r.layout);
-            e.w.usize(r.slots.len());
-            for s in &r.slots {
-                e.w.usize(*s);
+            e.w.usize(r.fields.len());
+            for f in &r.fields {
+                match f {
+                    Field::Inline(v) => {
+                        e.w.u8(FIELD_INLINE);
+                        e.value(v);
+                    }
+                    Field::Slot(s) => {
+                        e.w.u8(FIELD_SLOT);
+                        e.w.usize(*s);
+                    }
+                }
             }
         });
     }
@@ -423,19 +439,34 @@ impl<'a> Dec<'a> {
             KIND_RECORD => {
                 let id = self.id("record id")?;
                 let layout = self.layout()?;
-                let n = self.r.count("record slot count")?;
-                let mut slots = Vec::with_capacity(n);
-                for _ in 0..n {
-                    slots.push(self.slot("record slot")?);
-                }
-                if slots.len() != layout.len() {
+                let n = self.r.count("record field count")?;
+                if n != layout.len() {
                     return Err(WireError::Malformed(format!(
-                        "record {id} has {} slots but its layout has {} fields",
-                        slots.len(),
+                        "record {id} has {n} fields but its layout has {}",
                         layout.len()
                     )));
                 }
-                Ok(DecNode::Record(Rc::new(RecordVal { id, layout, slots })))
+                let mut fields = Vec::with_capacity(n);
+                for i in 0..n {
+                    let field = match self.r.u8("record field tag")? {
+                        FIELD_INLINE => Field::Inline(self.value()?),
+                        FIELD_SLOT => Field::Slot(self.slot("record slot")?),
+                        tag => {
+                            return Err(WireError::BadTag {
+                                what: "record field tag",
+                                tag,
+                            })
+                        }
+                    };
+                    if layout.is_mutable(i) && matches!(field, Field::Inline(_)) {
+                        return Err(WireError::Malformed(format!(
+                            "record {id}: mutable field {} is not a store slot",
+                            layout.label_at(i)
+                        )));
+                    }
+                    fields.push(field);
+                }
+                Ok(DecNode::Record(Rc::new(RecordVal { id, layout, fields })))
             }
             KIND_SET => {
                 let n = self.r.count("set element count")?;
@@ -799,7 +830,7 @@ mod tests {
         let rec = Rc::new(RecordVal {
             id,
             layout: Rc::new(Layout::new([(Label::new("A"), true)])),
-            slots: vec![slot],
+            fields: vec![Field::Slot(slot)],
         });
         m.define_global("x", Value::Record(rec.clone()));
         m.define_global("y", Value::Record(rec));
@@ -812,7 +843,22 @@ mod tests {
         let mut r = roundtrip(&m);
         r.store.set(slot, Value::Int(99));
         let x = r.global(&Label::new("x")).unwrap().as_record().unwrap();
-        assert!(matches!(r.store.get(x.slots[0]), Value::Int(99)));
+        assert!(matches!(r.store.read(&x.fields[0]), Value::Int(99)));
+    }
+
+    #[test]
+    fn inline_mutable_field_is_rejected() {
+        // The evaluator never builds one: a mutable field needs a location
+        // for `extract` and `update`, so bytes claiming one are corrupt.
+        let mut m = Machine::new();
+        let rec = RecordVal {
+            id: m.fresh_id(),
+            layout: Rc::new(Layout::new([(Label::new("A"), true)])),
+            fields: vec![Field::Inline(Value::Int(1))],
+        };
+        m.define_global("x", Value::Record(Rc::new(rec)));
+        let err = decode_machine(&encode_machine(&m)).err().expect("rejected");
+        assert!(err.to_string().contains("mutable field A"), "{err}");
     }
 
     #[test]
@@ -828,7 +874,7 @@ mod tests {
             Value::Record(Rc::new(RecordVal {
                 id: id1,
                 layout: layout.clone(),
-                slots: vec![s1],
+                fields: vec![Field::Slot(s1)],
             })),
         );
         m.define_global(
@@ -836,7 +882,7 @@ mod tests {
             Value::Record(Rc::new(RecordVal {
                 id: id2,
                 layout,
-                slots: vec![s2],
+                fields: vec![Field::Slot(s2)],
             })),
         );
         let r = roundtrip(&m);
@@ -893,7 +939,7 @@ mod tests {
         let raw = Value::Record(Rc::new(RecordVal {
             id: raw_id,
             layout: Rc::new(Layout::new([(Label::new("Name"), true)])),
-            slots: vec![slot],
+            fields: vec![Field::Slot(slot)],
         }));
         let o1 = Value::Obj(Rc::new(ObjVal {
             id: m.fresh_id(),

@@ -1,8 +1,10 @@
 //! Runtime values.
 //!
-//! * Records carry an identity (`RecordId`) and a vector of field *slots*
-//!   into the store — `extract` shares slots between records, which is how
-//!   the paper's Doe/john aliasing example works.
+//! * Records carry an identity (`RecordId`) and a vector of [`Field`]s. An
+//!   immutable field holds its value inline; a mutable field, or an
+//!   immutable one built from an extracted L-value, is a *location* in the
+//!   store — `extract` shares locations between records, which is how the
+//!   paper's Doe/john aliasing example works.
 //! * Objects are `(raw, viewing function)` associations with their own
 //!   identity; `eq` on objects is association identity, while *sets* of
 //!   objects identify elements up to `objeq` (same raw object), the
@@ -25,8 +27,19 @@ pub type RecordId = u64;
 /// Index of a class in the machine's class table.
 pub type ClassId = usize;
 
-/// A record value, laid out flat: `slots[i]` holds the field whose label
-/// is `layout.label_at(i)`, i.e. slot order *is* canonical label order —
+/// Where a record field's value lives. The store holds only locations:
+/// a field is a [`Field::Slot`] exactly when it is mutable or was built
+/// from an extracted L-value (the paper's (rec) rule), so that every
+/// record sharing the location sees later `update`s. Every other field is
+/// [`Field::Inline`] and is freed with its record.
+#[derive(Clone, Debug)]
+pub enum Field {
+    Inline(Value),
+    Slot(SlotId),
+}
+
+/// A record value, laid out flat: `fields[i]` holds the field whose label
+/// is `layout.label_at(i)`, i.e. field order *is* canonical label order —
 /// the offset contract the compile tier's lowered `dot@i`/`update@i`
 /// forms rely on. Mutability lives in the shared [`Layout`]; records
 /// built from the same lowered construction site share one layout
@@ -35,7 +48,7 @@ pub type ClassId = usize;
 pub struct RecordVal {
     pub id: RecordId,
     pub layout: Rc<Layout>,
-    pub slots: Vec<SlotId>,
+    pub fields: Vec<Field>,
 }
 
 impl RecordVal {
@@ -44,12 +57,12 @@ impl RecordVal {
         self.layout.offset_of(l)
     }
 
-    /// `(label, mutable, slot)` triples in slot (canonical label) order.
-    pub fn iter(&self) -> impl Iterator<Item = (&Label, bool, SlotId)> + '_ {
+    /// `(label, mutable, field)` triples in canonical label order.
+    pub fn iter(&self) -> impl Iterator<Item = (&Label, bool, &Field)> + '_ {
         self.layout
             .iter()
-            .zip(self.slots.iter().copied())
-            .map(|((l, m), s)| (l, m, s))
+            .zip(self.fields.iter())
+            .map(|((l, m), f)| (l, m, f))
     }
 }
 
@@ -136,7 +149,7 @@ impl SetVal {
         self.0.is_empty()
     }
 
-    pub fn values(&self) -> impl Iterator<Item = &Value> {
+    pub fn values(&self) -> impl DoubleEndedIterator<Item = &Value> {
         self.0.values()
     }
 
@@ -212,7 +225,7 @@ pub enum Key {
     Unit,
     Int(i64),
     Bool(bool),
-    Str(String),
+    Str(Rc<str>),
     Record(RecordId),
     Fn(u64),
     LValue(SlotId),
@@ -248,7 +261,7 @@ impl Value {
             Value::Unit => Key::Unit,
             Value::Int(n) => Key::Int(*n),
             Value::Bool(b) => Key::Bool(*b),
-            Value::Str(s) => Key::Str(s.to_string()),
+            Value::Str(s) => Key::Str(s.clone()),
             Value::Record(r) => Key::Record(r.id),
             Value::Set(s) => Key::Set(s.0.keys().cloned().collect()),
             Value::Closure(c) => Key::Fn(c.id),
@@ -325,7 +338,7 @@ mod tests {
         Value::Record(Rc::new(RecordVal {
             id,
             layout: Rc::new(Layout::new([])),
-            slots: Vec::new(),
+            fields: Vec::new(),
         }))
     }
 
@@ -407,6 +420,19 @@ mod tests {
         assert!(a.value_eq(&b));
         let c = Value::Set(SetVal::from_elems([Value::Int(3)]));
         assert!(!a.value_eq(&c));
+    }
+
+    #[test]
+    fn string_elements_order_as_str() {
+        let s = SetVal::from_elems(["b", "ab", "a", "b"].map(Value::str));
+        let order: Vec<String> = s
+            .values()
+            .map(|v| match v {
+                Value::Str(x) => x.to_string(),
+                other => panic!("string expected, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(order, ["a", "ab", "b"]);
     }
 
     #[test]

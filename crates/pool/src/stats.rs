@@ -346,6 +346,8 @@ fn set_engine_counters(reg: &Registry, s: &EngineStats) {
     reg.counter("eval.records_allocated")
         .set(s.records_allocated);
     reg.counter("eval.sets_allocated").set(s.sets_allocated);
+    reg.counter("eval.set_entries_inserted")
+        .set(s.set_entries_inserted);
     reg.counter("eval.field_offsets_resolved")
         .set(s.field_offsets_resolved);
     reg.counter("eval.dyn_field_fallbacks")

@@ -24,7 +24,7 @@ fn value(e: &Elem) -> Value {
             raw: Value::Record(Rc::new(RecordVal {
                 id: *raw,
                 layout: Rc::new(Layout::new([])),
-                slots: Vec::new(),
+                fields: Vec::new(),
             })),
             view: ViewFn::Identity,
         })),

@@ -23,7 +23,7 @@ fn value_has_type(m: &Machine, v: &Value, t: &Mono) -> bool {
                 && fs.iter().all(|(l, f)| match r.offset_of(l) {
                     Some(off) => {
                         r.layout.is_mutable(off) == f.mutable
-                            && value_has_type(m, m.store.get(r.slots[off]), &f.ty)
+                            && value_has_type(m, m.store.read(&r.fields[off]), &f.ty)
                     }
                     None => false,
                 })

@@ -36,6 +36,17 @@ pub struct Infer {
     /// Per-node recording for the compile tier; `None` (the default)
     /// disables it, so plain type checking pays nothing.
     table: Option<Box<TypeTable>>,
+    /// The statement scope [`Infer::infer_statement`] has open, if any.
+    scope: Option<Scope>,
+}
+
+/// An open statement scope: the first variable it minted, and the older
+/// variables it bound or re-kinded (whose new bindings may refer to
+/// variables minted inside the scope).
+#[derive(Debug)]
+struct Scope {
+    mark: TyVar,
+    touched: Vec<TyVar>,
 }
 
 impl Infer {
@@ -74,6 +85,7 @@ impl Infer {
     }
 
     pub fn set_kind(&mut self, v: TyVar, k: Kind) {
+        self.touch(v);
         if k.is_univ() {
             self.kinds.remove(&v);
         } else {
@@ -87,7 +99,65 @@ impl Infer {
 
     pub(crate) fn bind_raw(&mut self, v: TyVar, t: Mono) {
         debug_assert!(!self.subst.contains_key(&v), "double binding of t{v}");
+        self.touch(v);
         self.subst.insert(v, t);
+    }
+
+    /// Note, inside an open scope, that older variable `v` changed.
+    fn touch(&mut self, v: TyVar) {
+        if let Some(s) = &mut self.scope {
+            if v < s.mark {
+                s.touched.push(v);
+            }
+        }
+    }
+
+    /// Open a statement scope (see [`Infer::infer_statement`]).
+    pub(crate) fn open_scope(&mut self) {
+        self.scope = Some(Scope {
+            mark: self.next_var,
+            touched: Vec::new(),
+        });
+    }
+
+    /// Close the open scope: forget the binding and kind of every variable
+    /// minted inside it that no older variable reaches. The live ones are
+    /// found from the older variables the scope touched, which are the
+    /// only way back in: untouched older entries predate the scope. A
+    /// recorded table is resolved first, so it keeps its meaning.
+    pub(crate) fn close_scope(&mut self) {
+        let Some(Scope { mark, touched }) = self.scope.take() else {
+            return;
+        };
+        if let Some(mut t) = self.table.take() {
+            self.resolve_table(&mut t);
+            self.table = Some(t);
+        }
+        let mut live = HashSet::new();
+        let mut work = touched;
+        while let Some(v) = work.pop() {
+            let mut reached = self.subst.get(&v).map(Mono::free_vars).unwrap_or_default();
+            if let Some(k) = self.kinds.get(&v) {
+                reached.extend(k.free_vars());
+            }
+            for u in reached {
+                if u >= mark && live.insert(u) {
+                    work.push(u);
+                }
+            }
+        }
+        for v in mark..self.next_var {
+            if !live.contains(&v) {
+                self.subst.remove(&v);
+                self.kinds.remove(&v);
+            }
+        }
+    }
+
+    /// Entries in the substitution and the kind assignment (diagnostics:
+    /// what inference keeps between statements).
+    pub fn retained(&self) -> usize {
+        self.subst.len() + self.kinds.len()
     }
 
     /// Follow variable links until reaching a non-variable type or an
@@ -255,6 +325,11 @@ impl Infer {
     /// forms are final and the consumer needs no inference context.
     pub fn take_table(&mut self) -> Option<Box<TypeTable>> {
         let mut t = self.table.take()?;
+        self.resolve_table(&mut t);
+        Some(t)
+    }
+
+    fn resolve_table(&self, t: &mut TypeTable) {
         for ty in t.operand_types.values_mut() {
             *ty = self.resolve(ty);
         }
@@ -263,7 +338,6 @@ impl Infer {
                 *ty = self.resolve(ty);
             }
         }
-        Some(t)
     }
 
     pub(crate) fn record_operand(&mut self, node: NodeId, t: Mono) {

@@ -26,6 +26,13 @@ echo "==> pool smoke: serving-layer suite under --release"
 # timing-sensitive regressions surface in both profiles.
 cargo test -q --release --test pool
 
+echo "==> benchmark self-test: perfbench oracle and recorded work counts"
+# perfbench is a standalone package (its own [workspace]), std-only apart
+# from this repository's crates. Its self-test runs every workload at tiny
+# size and checks the oracle and the exact counts it records, such as
+# dynamic-field fallbacks per op; it checks no wall-clock bound.
+cargo test --release --offline --manifest-path perfbench/Cargo.toml
+
 echo "==> cargo fmt --check"
 cargo fmt --check
 

@@ -379,6 +379,15 @@ fn stats_round_trips_with_deterministic_windows() {
     let mut client = connect(&server);
     client.hello(1).expect("hello");
     client.call("val windowed = 1;").expect("write");
+    // The write was acknowledged by one replica; the other applies its
+    // catch-up asynchronously. Drain both up to the log length before
+    // reading the router-visible `replay_lag` rows below.
+    let (log_len, applied) = server.with_pool(|p| (p.log_len(), p.barrier()));
+    let applied = applied.expect("both replicas catch up");
+    assert!(
+        applied.iter().all(|&a| a >= log_len),
+        "replicas applied {applied:?} of {log_len} log entries"
+    );
 
     // First stats call takes the window's first snapshot: no window yet.
     let stats = client.stats().expect("stats");

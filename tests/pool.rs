@@ -410,6 +410,7 @@ fn pool_metrics_are_aggregated_json_lines() {
         "\"name\":\"pool.worker0.replay_lag\"",
         "\"name\":\"pool.worker1.queue_depth\"",
         "\"name\":\"engine.parses\"",
+        "\"name\":\"eval.set_entries_inserted\"",
         "\"name\":\"worker0.phase.eval_ns\"",
         "\"name\":\"worker1.engine.parses\"",
     ] {
