@@ -16,7 +16,7 @@
 //! unrelated mix should track the read-only shape much more closely.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use polyview_pool::{CollectingEventSink, NullEventSink, Pool, PoolConfig, Submit};
+use polyview_pool::{CollectingSink, NullSink, Pool, PoolConfig, Submit};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -193,13 +193,13 @@ fn bench_trace_overhead(c: &mut Criterion) {
     group.bench_function("off", |bch| bch.iter(|| mixed_batch(&mut pool, sessions)));
     pool.shutdown();
 
-    let mut pool = seeded_pool_with(base().event_sink(Arc::new(NullEventSink)));
+    let mut pool = seeded_pool_with(base().event_sink(Arc::new(NullSink)));
     group.bench_function("null_sink", |bch| {
         bch.iter(|| mixed_batch(&mut pool, sessions))
     });
     pool.shutdown();
 
-    let sink = Arc::new(CollectingEventSink::new());
+    let sink = Arc::new(CollectingSink::new());
     let mut pool = seeded_pool_with(base().event_sink(sink.clone()));
     group.bench_function("collecting_sink", |bch| {
         bch.iter(|| {

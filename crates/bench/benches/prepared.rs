@@ -103,7 +103,7 @@ fn bench_observability_overhead(c: &mut Criterion) {
 
         let mut traced = staff_engine(n);
         let p = traced.prepare(&src).expect("compiles");
-        traced.set_trace_sink(std::rc::Rc::new(polyview::obs::NullSink));
+        traced.set_trace_sink(std::sync::Arc::new(polyview::obs::NullSink));
         group.bench_with_input(BenchmarkId::new("null_sink", n), &p, |bch, p| {
             bch.iter(|| black_box(traced.run(black_box(p)).expect("runs")))
         });

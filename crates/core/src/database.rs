@@ -23,8 +23,7 @@ use polyview_syntax::{Expr, Scheme};
 ///   allocates fresh record/object identities in its slot store, burns
 ///   fuel, and bumps work counters — all `&mut` state, even for a pure
 ///   query.
-/// * The statement cache ([`crate::prepare::StmtCache`]) updates recency on
-///   every hit, and a miss inserts the fresh compilation.
+/// * The engine's statement cache updates recency on every hit, and a miss inserts the fresh compilation.
 ///
 /// Neither effect is observable by later statements (a query's allocations
 /// are unreachable once it returns), which is exactly the distinction the

@@ -21,15 +21,16 @@ use crate::prepare::{
     CacheLookup, Deps, EngineStats, Prepared, StmtCache, StmtKey, DEFAULT_STMT_CACHE_CAPACITY,
 };
 use crate::profile::ProfileReport;
-use polyview_eval::{decode_machine, encode_machine, Machine, Profile, Value};
+use polyview_eval::{decode_machine, encode_machine, Machine, MachineStats, Profile, Value};
 use polyview_obs::{Clock, Counter, Histogram, Registry, Span, TraceSink, Tracer};
 use polyview_parser::{parse_expr_counted, parse_program_counted, Decl, ParseStats};
 use polyview_syntax::visit::{check_rec_class_scope, free_vars};
 use polyview_syntax::{sugar, ClassDef, Expr, Kind, Label, Mono, Name, Scheme, TyVar};
 use polyview_trans::{lower_binding, lower_statement, IndexSig, LowerStats};
-use polyview_types::{builtins_sig, generalize, infer, Infer, TypeEnv, TypeTable};
+use polyview_types::{builtins_sig, generalize, infer, Infer, InferStats, TypeEnv, TypeTable};
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// What a declaration-log replay did ([`Engine::replay`] /
 /// [`Engine::from_log`]): entries applied, and how many of them failed
@@ -52,10 +53,10 @@ pub enum Outcome {
 }
 
 /// Handles into the engine's metrics registry, resolved once at
-/// construction so the hot paths pay a `Cell` bump per event and never hash
-/// a metric name. The last block mirrors counters owned by the inference
-/// context and the machine; they are synced into the registry only at
-/// export time ([`Engine::metrics_json`]).
+/// construction so the hot paths pay one relaxed atomic per counter bump
+/// and never hash a metric name. The last block mirrors counters owned by
+/// the inference context and the machine; they are synced into the
+/// registry only at export time ([`Engine::metrics_json`]).
 struct PhaseMetrics {
     parses: Counter,
     inferences: Counter,
@@ -140,14 +141,13 @@ pub struct Engine {
     tenv: TypeEnv,
     machine: Machine,
     stmts: StmtCache,
-    metrics: Rc<Registry>,
+    metrics: Registry,
     tracer: Tracer,
     phases: PhaseMetrics,
     /// Bumped by every declaration (`val`/`fun`/`class`). Staleness of
     /// prepared statements is decided per name ([`Engine::name_epoch`]);
-    /// the global epoch remains as the fallback for [`Deps::Global`]
-    /// statements and as an observability signal
-    /// ([`crate::prepare::EngineStats`], pool convergence checks).
+    /// the global epoch is an observability signal only (pool convergence
+    /// checks, [`Prepared::env_epoch`]).
     env_epoch: u64,
     /// Per-name declaration epochs: how many times each top-level name has
     /// been (re)bound. A name absent from the map — every builtin, every
@@ -184,7 +184,7 @@ impl Default for Engine {
 
 impl Engine {
     pub fn new() -> Self {
-        let metrics = Rc::new(Registry::new());
+        let metrics = Registry::new();
         let phases = PhaseMetrics::new(&metrics);
         Engine {
             cx: Infer::new(),
@@ -389,30 +389,29 @@ impl Engine {
         dur
     }
 
-    /// Run an inference computation as the timed "infer" phase.
+    /// Run an inference computation as the timed "infer" phase. Returns
+    /// the result with the phase's work-counter deltas and duration.
     fn infer_phase<T>(
         &mut self,
         f: impl FnOnce(&mut Infer, &mut TypeEnv) -> Result<T, polyview_types::TypeError>,
-    ) -> Result<T, Error> {
+    ) -> Result<(T, InferStats, u64), Error> {
         self.phases.inferences.inc();
         let before = self.cx.stats();
         let mut span = self.tracer.span("infer");
         let r = f(&mut self.cx, &mut self.tenv);
-        let after = self.cx.stats();
-        span.attr("unify_steps", after.unify_steps - before.unify_steps);
-        span.attr("occurs_checks", after.occurs_checks - before.occurs_checks);
-        span.attr("kind_merges", after.kind_merges - before.kind_merges);
-        span.attr(
-            "instantiations",
-            after.instantiations - before.instantiations,
-        );
+        let i = self.cx.stats().since(before);
+        span.attr("unify_steps", i.unify_steps);
+        span.attr("occurs_checks", i.occurs_checks);
+        span.attr("kind_merges", i.kind_merges);
+        span.attr("instantiations", i.instantiations);
         let dur = span.finish(&self.tracer);
         self.phases.infer_ns.observe(dur);
-        Ok(r?)
+        Ok((r?, i, dur))
     }
 
-    /// Evaluate an expression as the timed "eval" phase.
-    fn eval_phase(&mut self, e: &Expr) -> Result<Value, Error> {
+    /// Evaluate an expression as the timed "eval" phase. Returns the value
+    /// with the phase's work-counter deltas and duration.
+    fn eval_phase(&mut self, e: &Expr) -> Result<(Value, MachineStats, u64), Error> {
         let before = self.machine.stats();
         let mut span = self.tracer.span("eval");
         let r = self.machine.eval_global(e);
@@ -424,7 +423,7 @@ impl Engine {
         span.attr("dyn_fallbacks", m.dyn_field_fallbacks);
         let dur = span.finish(&self.tracer);
         self.phases.eval_ns.observe(dur);
-        Ok(r?)
+        Ok((r?, m, dur))
     }
 
     /// Execute a program: a sequence of declarations.
@@ -466,7 +465,7 @@ impl Engine {
         if self.compile_tier {
             self.cx.enable_table();
         }
-        let scheme = self.infer_phase(|cx, tenv| cx.infer_statement(tenv, &ast))?;
+        let (scheme, ..) = self.infer_phase(|cx, tenv| cx.infer_statement(tenv, &ast))?;
         let deps = self.snapshot_deps(&ast);
         let mut p = Prepared::new(src, ast.clone(), scheme, deps, self.env_epoch);
         if self.compile_tier {
@@ -482,9 +481,7 @@ impl Engine {
     /// The dependency snapshot for an AST about to be prepared: every free
     /// top-level name paired with its current declaration epoch (absent
     /// names — builtins, the prelude — are epoch 0). The free-variable walk
-    /// is binder-exact and total, so every engine-compiled statement gets
-    /// [`Deps::Names`]; [`Deps::Global`] exists only as the defensive
-    /// fallback for `Prepared` values built without an AST-derived set.
+    /// is binder-exact and total, so every statement gets its exact set.
     fn snapshot_deps(&self, ast: &Expr) -> Deps {
         Deps::Names(
             free_vars(ast)
@@ -567,11 +564,11 @@ impl Engine {
     /// (re-`prepare` it; the internal statement cache does this
     /// automatically). Declarations of unrelated names do not invalidate.
     pub fn run(&mut self, p: &Prepared) -> Result<Value, Error> {
-        if !p.is_fresh(&self.name_epochs, self.env_epoch) {
+        if !p.is_fresh(&self.name_epochs) {
             self.phases.epoch_invalidations.inc();
             return Err(Error::StalePrepared);
         }
-        self.eval_phase(p.code())
+        Ok(self.eval_phase(p.code())?.0)
     }
 
     /// [`Engine::run`], rendering the result.
@@ -589,11 +586,11 @@ impl Engine {
         key: StmtKey,
         build: impl FnOnce(&mut Self) -> Result<Prepared, Error>,
     ) -> Result<(Scheme, Value), Error> {
-        match self.stmts.lookup(&key, &self.name_epochs, self.env_epoch) {
+        match self.stmts.lookup(&key, &self.name_epochs) {
             CacheLookup::Hit(p) => {
                 self.phases.stmt_cache_hits.inc();
                 let scheme = p.scheme().clone();
-                let v = self.eval_phase(p.code())?;
+                let (v, ..) = self.eval_phase(p.code())?;
                 return Ok((scheme, v));
             }
             CacheLookup::Stale => {
@@ -604,7 +601,7 @@ impl Engine {
         }
         let p = build(self)?;
         let scheme = p.scheme().clone();
-        let v = self.eval_phase(p.code())?;
+        let (v, ..) = self.eval_phase(p.code())?;
         let evicted = self.stmts.insert(key, p);
         self.phases.stmt_cache_evictions.add(evicted as u64);
         Ok((scheme, v))
@@ -699,15 +696,15 @@ impl Engine {
     /// [`polyview_obs::ManualClock`] for deterministic phase timings in
     /// tests). The evaluation profiler is wired to the same clock, so one
     /// injection makes phase timings *and* profile trees deterministic.
-    pub fn set_clock(&mut self, clock: Rc<dyn Clock>) {
-        self.machine.set_profile_clock(Rc::clone(&clock));
+    pub fn set_clock(&mut self, clock: Arc<dyn Clock>) {
+        self.machine.set_profile_clock(Arc::clone(&clock));
         self.tracer.set_clock(clock);
     }
 
     /// Install a trace sink and enable span emission. Phase timings and
     /// histograms are always collected; the sink only receives the
     /// per-phase [`polyview_obs::SpanRecord`]s.
-    pub fn set_trace_sink(&mut self, sink: Rc<dyn TraceSink>) {
+    pub fn set_trace_sink(&mut self, sink: Arc<dyn TraceSink>) {
         self.tracer.set_sink(sink);
     }
 
@@ -721,18 +718,21 @@ impl Engine {
         self.tracer.is_enabled()
     }
 
-    /// Stamp every subsequent phase span with `key = value` as its first
-    /// attribute, until [`Engine::clear_span_tag`]. An embedding layer
-    /// (the serving pool) uses this to tag parse/infer/translate/eval
-    /// spans with the request they run on behalf of, so one trace id
-    /// stitches the router's and the replica's views together.
-    pub fn set_span_tag(&mut self, key: impl Into<String>, value: u64) {
-        self.tracer.set_tag(Some((key.into(), value)));
+    /// Stamp every subsequent phase span with the request it runs on
+    /// behalf of: `id` becomes the span's `trace_id` and `parent`, until
+    /// the next call (0 clears it). An embedding layer (the serving pool)
+    /// sets it per request, so one trace id stitches the router's and the
+    /// replica's views together.
+    pub fn set_trace_id(&mut self, id: u64) {
+        self.tracer.set_trace_id(id);
     }
 
-    /// Stop stamping phase spans (see [`Engine::set_span_tag`]).
-    pub fn clear_span_tag(&mut self) {
-        self.tracer.set_tag(None);
+    /// Set the constants every emitted phase span carries: `prefix` before
+    /// its name and `attrs` after its own attributes. A pool worker sets
+    /// `engine.` and its worker index and generation once at spawn; a
+    /// standalone engine leaves both empty.
+    pub fn set_span_scope(&mut self, prefix: &str, attrs: Vec<(String, u64)>) {
+        self.tracer.set_scope(prefix, attrs);
     }
 
     /// Compile and run `src` with every phase timed and its work counters
@@ -744,9 +744,7 @@ impl Engine {
     /// stores the fresh compilation so subsequent calls do.
     pub fn explain(&mut self, src: &str) -> Result<Explain, Error> {
         let key = StmtKey::Src(src.to_string());
-        let cached_before = self
-            .stmts
-            .contains_valid(&key, &self.name_epochs, self.env_epoch);
+        let cached_before = self.stmts.contains_valid(&key, &self.name_epochs);
         if cached_before {
             self.phases.stmt_cache_hits.inc();
         } else {
@@ -758,29 +756,10 @@ impl Engine {
         let (ast, ps) = parse_expr_counted(src)?;
         let parse_ns = self.note_parse(span, ps);
 
-        let i_before = self.cx.stats();
-        self.phases.inferences.inc();
         if self.compile_tier {
             self.cx.enable_table();
         }
-        let mut span = self.tracer.span("infer");
-        let scheme_res = self.cx.infer_statement(&mut self.tenv, &ast);
-        let i = {
-            let after = self.cx.stats();
-            polyview_types::InferStats {
-                unify_steps: after.unify_steps - i_before.unify_steps,
-                occurs_checks: after.occurs_checks - i_before.occurs_checks,
-                kind_merges: after.kind_merges - i_before.kind_merges,
-                instantiations: after.instantiations - i_before.instantiations,
-            }
-        };
-        span.attr("unify_steps", i.unify_steps);
-        span.attr("occurs_checks", i.occurs_checks);
-        span.attr("kind_merges", i.kind_merges);
-        span.attr("instantiations", i.instantiations);
-        let infer_ns = span.finish(&self.tracer);
-        self.phases.infer_ns.observe(infer_ns);
-        let scheme = scheme_res?;
+        let (scheme, i, infer_ns) = self.infer_phase(|cx, tenv| cx.infer_statement(tenv, &ast))?;
 
         // Compile tier: lower to offset-resolved form (timed), keeping the
         // per-op report for the render below.
@@ -801,35 +780,16 @@ impl Engine {
             None
         };
 
-        let mut span = self.tracer.span("translate");
-        let (_core, ts) = polyview_trans::translate_measured(&ast);
-        span.attr("core_nodes", ts.translated_size);
-        let translate_ns = span.finish(&self.tracer);
-        self.phases.translate_ns.observe(translate_ns);
-        self.phases.translated_size.observe(ts.translated_size);
-
-        let m_before = self.machine.stats();
-        let mut span = self.tracer.span("eval");
-        let v_res = self.machine.eval_global(code.as_deref().unwrap_or(&ast));
-        let m = self.machine.stats().since(m_before);
-        span.attr("fuel", m.fuel_consumed);
-        span.attr("records", m.records_allocated);
-        span.attr("sets", m.sets_allocated);
-        span.attr("offsets", m.field_offsets_resolved);
-        span.attr("dyn_fallbacks", m.dyn_field_fallbacks);
-        let eval_ns = span.finish(&self.tracer);
-        self.phases.eval_ns.observe(eval_ns);
-        let v = v_res?;
+        let (_core, translated_size, translate_ns) = self.translate_phase(&ast);
+        let (v, m, eval_ns) = self.eval_phase(code.as_deref().unwrap_or(&ast))?;
         let rendered = self.machine.show(&v);
 
         let deps = self.snapshot_deps(&ast);
-        let dep_rows = match &deps {
-            Deps::Names(ds) => ds
-                .iter()
-                .map(|(n, at)| (n.as_str().to_string(), *at))
-                .collect(),
-            Deps::Global(_) => Vec::new(),
-        };
+        let Deps::Names(ds) = &deps;
+        let dep_rows = ds
+            .iter()
+            .map(|(n, at)| (n.as_str().to_string(), *at))
+            .collect();
         let mut p = Prepared::new(
             Some(src.to_string()),
             Rc::new(ast),
@@ -866,7 +826,7 @@ impl Engine {
             dynamic_residue: lower.dynamic_residue,
             records_lowered: lower.records_lowered,
             offset_rows,
-            translated_size: ts.translated_size,
+            translated_size,
             fuel_consumed: m.fuel_consumed,
             records_allocated: m.records_allocated,
             sets_allocated: m.sets_allocated,
@@ -891,7 +851,7 @@ impl Engine {
         self.machine.profile_start();
         let r = self.eval_phase(p.code());
         let profile = self.machine.profile_stop().unwrap_or_default();
-        let v = r?;
+        let (v, ..) = r?;
         let rendered = self.machine.show(&v);
         let class_names = self.class_names();
         Ok(ProfileReport {
@@ -992,7 +952,7 @@ impl Engine {
     /// Infer the principal scheme of an expression without evaluating it.
     pub fn infer_expr(&mut self, src: &str) -> Result<Scheme, Error> {
         let e = self.parse_counted(src)?;
-        self.infer_phase(|cx, tenv| cx.infer_statement(tenv, &e))
+        Ok(self.infer_phase(|cx, tenv| cx.infer_statement(tenv, &e))?.0)
     }
 
     /// Type-check and evaluate a pre-built AST (uncached; see
@@ -1001,14 +961,14 @@ impl Engine {
         if self.compile_tier {
             self.cx.enable_table();
         }
-        let scheme = self.infer_phase(|cx, tenv| cx.infer_statement(tenv, e))?;
+        let (scheme, ..) = self.infer_phase(|cx, tenv| cx.infer_statement(tenv, e))?;
         let code = if self.compile_tier {
             self.lower_phase(|table, sigs| lower_statement(e, table, sigs))
                 .map(|(c, _, _)| c)
         } else {
             None
         };
-        let v = self.eval_phase(code.as_ref().unwrap_or(e))?;
+        let (v, ..) = self.eval_phase(code.as_ref().unwrap_or(e))?;
         Ok((scheme, v))
     }
 
@@ -1019,7 +979,7 @@ impl Engine {
                 if self.compile_tier {
                     self.cx.enable_table();
                 }
-                let scheme = self.infer_phase(|cx, tenv| cx.infer_scheme(tenv, e))?;
+                let (scheme, ..) = self.infer_phase(|cx, tenv| cx.infer_scheme(tenv, e))?;
                 self.cx.check_ground_mutables(&scheme.body)?;
                 let mut sig = None;
                 let lowered = if self.compile_tier {
@@ -1030,7 +990,7 @@ impl Engine {
                 } else {
                     None
                 };
-                let v = match &lowered {
+                let (v, ..) = match &lowered {
                     Some(((code, s), _, _)) => {
                         sig = s.clone();
                         self.eval_phase(code)?
@@ -1051,17 +1011,7 @@ impl Engine {
             Decl::Fun(defs) => self.exec_fun(defs),
             Decl::Classes(binds) => self.exec_classes(binds),
             Decl::Expr(e) => {
-                if self.compile_tier {
-                    self.cx.enable_table();
-                }
-                let scheme = self.infer_phase(|cx, tenv| cx.infer_statement(tenv, e))?;
-                let code = if self.compile_tier {
-                    self.lower_phase(|table, sigs| lower_statement(e, table, sigs))
-                        .map(|(c, _, _)| c)
-                } else {
-                    None
-                };
-                let v = self.eval_phase(code.as_ref().unwrap_or(e))?;
+                let (scheme, v) = self.eval_ast(e)?;
                 Ok(Outcome::Value {
                     scheme,
                     rendered: self.machine.show(&v),
@@ -1104,7 +1054,7 @@ impl Engine {
         if self.compile_tier {
             self.cx.enable_table();
         }
-        let t = self.infer_phase(|cx, tenv| infer::infer(cx, tenv, &group))?;
+        let (t, ..) = self.infer_phase(|cx, tenv| infer::infer(cx, tenv, &group))?;
         let t = self.cx.resolve(&t);
 
         if self.compile_tier && names.len() == 1 {
@@ -1151,7 +1101,7 @@ impl Engine {
                     (renamed, st)
                 });
                 if let Some((Some((code, sig)), _, _)) = lowered {
-                    let v = self.eval_phase(&code)?;
+                    let (v, ..) = self.eval_phase(&code)?;
                     let bound = self.define_group(&names, vec![t], v, true)?;
                     if let Some(s) = sig {
                         self.index_sigs.insert(names[0].clone(), s);
@@ -1169,7 +1119,7 @@ impl Engine {
         } else {
             None
         };
-        let v = self.eval_phase(code.as_ref().unwrap_or(&group))?;
+        let (v, ..) = self.eval_phase(code.as_ref().unwrap_or(&group))?;
 
         let tys = if names.len() == 1 {
             vec![t]
@@ -1237,7 +1187,7 @@ impl Engine {
         if self.compile_tier {
             self.cx.enable_table();
         }
-        let t = self.infer_phase(|cx, tenv| infer::infer(cx, tenv, &wrapped))?;
+        let (t, ..) = self.infer_phase(|cx, tenv| infer::infer(cx, tenv, &wrapped))?;
         let t = self.cx.resolve(&t);
         let code = if self.compile_tier {
             self.lower_phase(|table, sigs| lower_statement(&wrapped, table, sigs))
@@ -1245,7 +1195,7 @@ impl Engine {
         } else {
             None
         };
-        let v = self.eval_phase(code.as_ref().unwrap_or(&wrapped))?;
+        let (v, ..) = self.eval_phase(code.as_ref().unwrap_or(&wrapped))?;
 
         let tys = if names.len() == 1 {
             vec![t]
@@ -1305,13 +1255,19 @@ impl Engine {
     pub fn translate_expr(&mut self, src: &str) -> Result<Expr, Error> {
         let e = self.parse_counted(src)?;
         self.infer_phase(|cx, tenv| cx.infer_statement(tenv, &e))?;
+        Ok(self.translate_phase(&e).0)
+    }
+
+    /// Translate through Figs. 3/5 as the timed "translate" phase. Returns
+    /// the core term, its size, and the duration.
+    fn translate_phase(&mut self, e: &Expr) -> (Expr, u64, u64) {
         let mut span = self.tracer.span("translate");
-        let (core, ts) = polyview_trans::translate_measured(&e);
+        let (core, ts) = polyview_trans::translate_measured(e);
         span.attr("core_nodes", ts.translated_size);
         let dur = span.finish(&self.tracer);
         self.phases.translate_ns.observe(dur);
         self.phases.translated_size.observe(ts.translated_size);
-        Ok(core)
+        (core, ts.translated_size, dur)
     }
 }
 

@@ -29,9 +29,8 @@
 //! (and value) can change only when a `val`/`fun`/`class` declaration
 //! rebinds *that name*. Names never rebound — including every builtin and
 //! prelude name — sit at epoch 0 forever, so a statement over a stable
-//! schema never recompiles. The global declaration epoch is kept as a
-//! defensive fallback ([`Deps::Global`]) for statements whose dependency
-//! set cannot be computed.
+//! schema never recompiles. The free-variable walk that computes the
+//! dependency set is total, so every statement gets one.
 
 use polyview_syntax::{Expr, Name, Scheme};
 use polyview_trans::LowerStats;
@@ -50,24 +49,15 @@ pub enum Deps {
     /// engine's epoch map has implicit epoch 0 (never rebound) — this is
     /// how builtins and the prelude stay free.
     Names(Vec<(Name, u64)>),
-    /// Defensive fallback: the global declaration epoch at compile time —
-    /// stale after *any* declaration. The engine computes [`Deps::Names`]
-    /// for every AST it prepares (the free-variable walk is total); this
-    /// variant exists for callers that cannot produce a dependency set and
-    /// preserves the pre-per-name semantics exactly.
-    Global(u64),
 }
 
 impl Deps {
     /// Is a statement with these dependencies still valid under the given
-    /// per-name epochs (`name_epochs`, missing key = 0) and global epoch?
-    pub fn is_fresh(&self, name_epochs: &HashMap<Name, u64>, env_epoch: u64) -> bool {
-        match self {
-            Deps::Names(ds) => ds
-                .iter()
-                .all(|(n, at)| name_epochs.get(n).copied().unwrap_or(0) == *at),
-            Deps::Global(at) => *at == env_epoch,
-        }
+    /// per-name epochs (`name_epochs`, missing key = 0)?
+    pub fn is_fresh(&self, name_epochs: &HashMap<Name, u64>) -> bool {
+        let Deps::Names(ds) = self;
+        ds.iter()
+            .all(|(n, at)| name_epochs.get(n).copied().unwrap_or(0) == *at)
     }
 }
 
@@ -147,16 +137,15 @@ impl Prepared {
     }
 
     /// The dependency snapshot staleness is checked against: the
-    /// statement's free top-level names with their compile-time epochs
-    /// (or the global-epoch fallback).
+    /// statement's free top-level names with their compile-time epochs.
     pub fn deps(&self) -> &Deps {
         &self.deps
     }
 
-    /// Is this statement still valid under the given per-name epochs and
-    /// global epoch? See [`Deps::is_fresh`].
-    pub fn is_fresh(&self, name_epochs: &HashMap<Name, u64>, env_epoch: u64) -> bool {
-        self.deps.is_fresh(name_epochs, env_epoch)
+    /// Is this statement still valid under the given per-name epochs? See
+    /// [`Deps::is_fresh`].
+    pub fn is_fresh(&self, name_epochs: &HashMap<Name, u64>) -> bool {
+        self.deps.is_fresh(name_epochs)
     }
 
     /// The global declaration epoch this statement was compiled under
@@ -235,17 +224,11 @@ impl StmtCache {
     }
 
     /// Look up a statement, bumping its recency. An entry whose dependency
-    /// snapshot no longer matches the current per-name epochs (or the
-    /// global epoch, for [`Deps::Global`] entries) is stale: it is dropped
-    /// and the caller re-prepares.
-    pub fn lookup(
-        &mut self,
-        key: &StmtKey,
-        name_epochs: &HashMap<Name, u64>,
-        env_epoch: u64,
-    ) -> CacheLookup {
+    /// snapshot no longer matches the current per-name epochs is stale: it
+    /// is dropped and the caller re-prepares.
+    pub fn lookup(&mut self, key: &StmtKey, name_epochs: &HashMap<Name, u64>) -> CacheLookup {
         match self.map.get_mut(key) {
-            Some((tick, p)) if p.is_fresh(name_epochs, env_epoch) => {
+            Some((tick, p)) if p.is_fresh(name_epochs) => {
                 self.tick += 1;
                 *tick = self.tick;
                 CacheLookup::Hit(p.clone())
@@ -261,15 +244,10 @@ impl StmtCache {
     /// Is there a valid entry for `key` under the current epochs? Pure
     /// peek: does not bump recency and does not drop stale entries
     /// (`explain` uses it to report cache state without perturbing it).
-    pub fn contains_valid(
-        &self,
-        key: &StmtKey,
-        name_epochs: &HashMap<Name, u64>,
-        env_epoch: u64,
-    ) -> bool {
+    pub fn contains_valid(&self, key: &StmtKey, name_epochs: &HashMap<Name, u64>) -> bool {
         self.map
             .get(key)
-            .is_some_and(|(_, p)| p.is_fresh(name_epochs, env_epoch))
+            .is_some_and(|(_, p)| p.is_fresh(name_epochs))
     }
 
     /// Insert (or refresh) an entry, evicting oldest-first to stay within
@@ -493,16 +471,10 @@ mod tests {
     use super::*;
     use polyview_syntax::{Expr, Label};
 
-    /// A prepared statement on the pre-per-name global fallback: stale
-    /// after any epoch move.
+    /// A prepared statement depending on one name, `x`, compiled at
+    /// `epoch`: stale once `x` moves past it.
     fn prepared(epoch: u64) -> Prepared {
-        Prepared::new(
-            None,
-            Rc::new(Expr::int(1)),
-            Scheme::mono(polyview_syntax::Mono::int()),
-            Deps::Global(epoch),
-            epoch,
-        )
+        prepared_deps(vec![("x", epoch)])
     }
 
     fn prepared_deps(deps: Vec<(&str, u64)>) -> Prepared {
@@ -523,11 +495,14 @@ mod tests {
         StmtKey::Src(s.to_string())
     }
 
+    /// The epoch map with `x` (the name [`prepared`] depends on) at
+    /// `epoch`.
+    fn at(epoch: u64) -> HashMap<Name, u64> {
+        epochs(&[("x", epoch)])
+    }
+
     fn hit(c: &mut StmtCache, s: &str, epoch: u64) -> bool {
-        matches!(
-            c.lookup(&key(s), &HashMap::new(), epoch),
-            CacheLookup::Hit(_)
-        )
+        matches!(c.lookup(&key(s), &at(epoch)), CacheLookup::Hit(_))
     }
 
     #[test]
@@ -569,10 +544,7 @@ mod tests {
         assert_eq!(c.insert(key("c"), prepared(0)), 1); // evicts b
         assert_eq!(c.len(), 2);
         assert!(hit(&mut c, "a", 0));
-        assert!(matches!(
-            c.lookup(&key("b"), &HashMap::new(), 0),
-            CacheLookup::Miss
-        ));
+        assert!(matches!(c.lookup(&key("b"), &at(0)), CacheLookup::Miss));
         assert!(hit(&mut c, "c", 0));
     }
 
@@ -580,16 +552,10 @@ mod tests {
     fn stale_epoch_entries_report_stale_and_drop() {
         let mut c = StmtCache::new(4);
         c.insert(key("q"), prepared(0));
-        assert!(matches!(
-            c.lookup(&key("q"), &HashMap::new(), 1),
-            CacheLookup::Stale
-        ));
+        assert!(matches!(c.lookup(&key("q"), &at(1)), CacheLookup::Stale));
         assert_eq!(c.len(), 0);
         // Once dropped, a further lookup is a plain miss.
-        assert!(matches!(
-            c.lookup(&key("q"), &HashMap::new(), 1),
-            CacheLookup::Miss
-        ));
+        assert!(matches!(c.lookup(&key("q"), &at(1)), CacheLookup::Miss));
     }
 
     #[test]
@@ -597,10 +563,7 @@ mod tests {
         let mut c = StmtCache::new(0);
         assert_eq!(c.insert(key("q"), prepared(0)), 0);
         assert_eq!(c.len(), 0);
-        assert!(matches!(
-            c.lookup(&key("q"), &HashMap::new(), 0),
-            CacheLookup::Miss
-        ));
+        assert!(matches!(c.lookup(&key("q"), &at(0)), CacheLookup::Miss));
     }
 
     #[test]
@@ -630,14 +593,8 @@ mod tests {
         assert_eq!(c.len(), 2);
         assert!(hit(&mut c, "a", 0));
         assert!(hit(&mut c, "d", 0));
-        assert!(matches!(
-            c.lookup(&key("b"), &HashMap::new(), 0),
-            CacheLookup::Miss
-        ));
-        assert!(matches!(
-            c.lookup(&key("c"), &HashMap::new(), 0),
-            CacheLookup::Miss
-        ));
+        assert!(matches!(c.lookup(&key("b"), &at(0)), CacheLookup::Miss));
+        assert!(matches!(c.lookup(&key("c"), &at(0)), CacheLookup::Miss));
     }
 
     #[test]
@@ -647,16 +604,13 @@ mod tests {
         c.insert(key("b"), prepared(0));
         // Peeking at "a" must NOT refresh it: the next insert still evicts
         // it as the oldest entry.
-        assert!(c.contains_valid(&key("a"), &HashMap::new(), 0));
-        assert!(!c.contains_valid(&key("a"), &HashMap::new(), 1)); // wrong epoch
-        assert!(!c.contains_valid(&key("z"), &HashMap::new(), 0));
+        assert!(c.contains_valid(&key("a"), &at(0)));
+        assert!(!c.contains_valid(&key("a"), &at(1))); // wrong epoch
+        assert!(!c.contains_valid(&key("z"), &at(0)));
         c.insert(key("c"), prepared(0));
-        assert!(matches!(
-            c.lookup(&key("a"), &HashMap::new(), 0),
-            CacheLookup::Miss
-        ));
+        assert!(matches!(c.lookup(&key("a"), &at(0)), CacheLookup::Miss));
         // The stale peek above must not have dropped the entry either.
-        assert!(c.contains_valid(&key("b"), &HashMap::new(), 0));
+        assert!(c.contains_valid(&key("b"), &at(0)));
     }
 
     #[test]
@@ -667,17 +621,14 @@ mod tests {
         // entry stays a hit.
         let unrelated = epochs(&[("tick", 3)]);
         assert!(matches!(
-            c.lookup(&key("q"), &unrelated, 3),
+            c.lookup(&key("q"), &unrelated),
             CacheLookup::Hit(_)
         ));
-        assert!(c.contains_valid(&key("q"), &unrelated, 3));
+        assert!(c.contains_valid(&key("q"), &unrelated));
         // A dependency was rebound: stale, dropped.
         let related = epochs(&[("tick", 3), ("Employee", 1)]);
-        assert!(!c.contains_valid(&key("q"), &related, 4));
-        assert!(matches!(
-            c.lookup(&key("q"), &related, 4),
-            CacheLookup::Stale
-        ));
+        assert!(!c.contains_valid(&key("q"), &related));
+        assert!(matches!(c.lookup(&key("q"), &related), CacheLookup::Stale));
         assert_eq!(c.len(), 0);
     }
 
@@ -687,20 +638,10 @@ mod tests {
         // taken at 0 matches forever, and a snapshot taken after a rebind
         // (epoch > 0) never matches an empty map.
         let fresh = prepared_deps(vec![("map", 0)]);
-        assert!(fresh.is_fresh(&HashMap::new(), 99));
+        assert!(fresh.is_fresh(&HashMap::new()));
         let rebound = prepared_deps(vec![("map", 2)]);
-        assert!(!rebound.is_fresh(&HashMap::new(), 99));
-        assert!(rebound.is_fresh(&epochs(&[("map", 2)]), 99));
-    }
-
-    #[test]
-    fn global_fallback_invalidates_on_any_epoch_move() {
-        let p = prepared(7);
-        assert!(matches!(p.deps(), Deps::Global(7)));
-        // Per-name epochs are ignored by the fallback: only the global
-        // epoch decides.
-        assert!(p.is_fresh(&epochs(&[("x", 5)]), 7));
-        assert!(!p.is_fresh(&HashMap::new(), 8));
+        assert!(!rebound.is_fresh(&HashMap::new()));
+        assert!(rebound.is_fresh(&epochs(&[("map", 2)])));
     }
 
     #[test]

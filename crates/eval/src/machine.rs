@@ -18,6 +18,7 @@ use polyview_obs::{Clock, WallClock};
 use polyview_syntax::{ClassDef, Expr, Idx, Label, Layout, Lit, Name};
 use std::collections::{BTreeSet, HashMap};
 use std::rc::Rc;
+use std::sync::Arc;
 
 /// One `include` clause of an evaluated class: resolved source classes, the
 /// viewing function value, and the predicate value.
@@ -111,7 +112,7 @@ pub struct Machine {
     /// Clock handed to profilers started on this machine. Sticky: set it
     /// once (tests inject a `ManualClock`), every later `profile_start`
     /// uses it.
-    profile_clock: Rc<dyn Clock>,
+    profile_clock: Arc<dyn Clock>,
 }
 
 impl Default for Machine {
@@ -134,7 +135,7 @@ impl Machine {
             class_epoch: 0,
             stats: MachineStats::default(),
             profiler: None,
-            profile_clock: Rc::new(WallClock::new()),
+            profile_clock: Arc::new(WallClock::new()),
         };
         for (name, arity, f) in builtins::natives() {
             let id = m.fresh_id();
@@ -210,7 +211,7 @@ impl Machine {
             class_epoch,
             stats: MachineStats::default(),
             profiler: None,
-            profile_clock: Rc::new(WallClock::new()),
+            profile_clock: Arc::new(WallClock::new()),
         }
     }
 
@@ -250,7 +251,7 @@ impl Machine {
 
     /// Install the clock future [`Machine::profile_start`] calls will use.
     /// Does not affect a profiler already running.
-    pub fn set_profile_clock(&mut self, clock: Rc<dyn Clock>) {
+    pub fn set_profile_clock(&mut self, clock: Arc<dyn Clock>) {
         self.profile_clock = clock;
     }
 
@@ -258,7 +259,7 @@ impl Machine {
     /// timed frame until [`Machine::profile_stop`]. Starting while already
     /// profiling discards the in-flight profile.
     pub fn profile_start(&mut self) {
-        self.profiler = Some(Profiler::new(Rc::clone(&self.profile_clock)));
+        self.profiler = Some(Profiler::new(Arc::clone(&self.profile_clock)));
     }
 
     /// Stop profiling and return the collected [`Profile`] (`None` if
@@ -301,7 +302,7 @@ impl Machine {
     /// The profiler check is the *only* cost the profiler adds to normal
     /// runs: one `Option::is_none` on a field already in cache (fuel was
     /// just touched). With a profiler installed, dispatch detours through
-    /// [`Machine::eval_profiled`] which brackets the node with two clock
+    /// `Machine::eval_profiled`, which brackets the node with two clock
     /// reads.
     pub fn eval_in(&mut self, e: &Expr, env: &Env) -> Result<Value, RuntimeError> {
         self.burn()?;

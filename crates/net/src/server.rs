@@ -32,8 +32,8 @@
 use crate::proto::{self, Command, DEFAULT_MAX_FRAME_BYTES};
 use polyview::obs::jsonl::ObjectBuilder;
 use polyview::obs::{
-    EventRecord, EventSink, HistogramSnapshot, SharedClock, SharedCounter, SharedGauge,
-    SharedHistogram, SharedRegistry, SharedWallClock, WindowView,
+    Clock, Counter, Gauge, Histogram, HistogramSnapshot, Registry, SpanRecord, TraceSink,
+    WallClock, WindowView,
 };
 use polyview_pool::{BatchTicket, HealthReport, Pool, PoolConfig, Submit, Ticket};
 use std::collections::BTreeMap;
@@ -109,24 +109,24 @@ impl NetConfig {
     }
 }
 
-/// Server-side counters, backed by a [`SharedRegistry`] so
+/// Server-side counters, backed by a [`Registry`] so
 /// [`NetServer::metrics_json`] renders them alongside the pool's.
 struct Metrics {
-    registry: SharedRegistry,
-    conns_open: SharedGauge,
-    conns_accepted: SharedCounter,
-    rejected_busy: SharedCounter,
-    frames_decoded: SharedCounter,
-    frames_invalid: SharedCounter,
-    responses: SharedCounter,
-    watch_pushes: SharedCounter,
-    write_errors: SharedCounter,
-    read_to_decode_ns: SharedHistogram,
+    registry: Registry,
+    conns_open: Gauge,
+    conns_accepted: Counter,
+    rejected_busy: Counter,
+    frames_decoded: Counter,
+    frames_invalid: Counter,
+    responses: Counter,
+    watch_pushes: Counter,
+    write_errors: Counter,
+    read_to_decode_ns: Histogram,
 }
 
 impl Metrics {
     fn new() -> Metrics {
-        let registry = SharedRegistry::new();
+        let registry = Registry::new();
         Metrics {
             conns_open: registry.gauge("net.conns_open"),
             conns_accepted: registry.counter("net.conns_accepted"),
@@ -200,13 +200,13 @@ impl std::fmt::Display for NetStats {
 /// Clock + sink pair for `net.*` trace events; present only when the
 /// pool's telemetry is on, so the disabled path stays a no-op.
 struct NetTelemetry {
-    clock: Arc<dyn SharedClock>,
-    sink: Arc<dyn EventSink>,
+    clock: Arc<dyn Clock>,
+    sink: Arc<dyn TraceSink>,
 }
 
 impl NetTelemetry {
     fn emit(&self, name: &str, trace_id: u64, start_ns: u64, dur_ns: u64, conn: u64) {
-        self.sink.emit(&EventRecord {
+        self.sink.emit(&SpanRecord {
             name: name.to_string(),
             trace_id,
             parent: None,
@@ -218,14 +218,14 @@ impl NetTelemetry {
 }
 
 /// Everything a connection's threads share with the server.
-struct Shared {
+struct ServerState {
     pool: Mutex<Pool>,
     metrics: Metrics,
     telemetry: Option<NetTelemetry>,
     /// Time source for the read→decode histogram. Aliases the pool's
     /// telemetry clock when telemetry is on (deterministic tests see
     /// manual time everywhere); otherwise a private wall clock.
-    clock: Arc<dyn SharedClock>,
+    clock: Arc<dyn Clock>,
     max_in_flight: usize,
     max_frame_bytes: usize,
     /// Per-write bound on a non-draining client ([`NetConfig::write_timeout_ms`]).
@@ -244,7 +244,7 @@ struct ConnHandle {
 pub struct NetServer {
     local_addr: SocketAddr,
     /// `Some` until [`NetServer::drain`] takes the pool out.
-    shared: Option<Arc<Shared>>,
+    shared: Option<Arc<ServerState>>,
     stop: Arc<AtomicBool>,
     accept: Option<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<ConnHandle>>>,
@@ -265,11 +265,11 @@ impl NetServer {
         } else {
             None
         };
-        let clock: Arc<dyn SharedClock> = match &telemetry {
+        let clock: Arc<dyn Clock> = match &telemetry {
             Some(t) => Arc::clone(&t.clock),
-            None => Arc::new(SharedWallClock::new()),
+            None => Arc::new(WallClock::new()),
         };
-        let shared = Arc::new(Shared {
+        let shared = Arc::new(ServerState {
             pool: Mutex::new(pool),
             metrics: Metrics::new(),
             telemetry,
@@ -314,7 +314,7 @@ impl NetServer {
         f(&mut guard)
     }
 
-    fn shared(&self) -> &Arc<Shared> {
+    fn shared(&self) -> &Arc<ServerState> {
         self.shared.as_ref().expect("server not drained")
     }
 
@@ -415,7 +415,7 @@ fn lock<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
 
 fn accept_loop(
     listener: TcpListener,
-    shared: Arc<Shared>,
+    shared: Arc<ServerState>,
     stop: Arc<AtomicBool>,
     conns: Arc<Mutex<Vec<ConnHandle>>>,
     max_conns: usize,
@@ -559,7 +559,7 @@ fn write_line(out: &Mutex<TcpStream>, line: &str) -> std::io::Result<()> {
 
 /// Write a reader-side immediate response, counting it. An error means
 /// the peer is unreachable: the caller abandons the connection.
-fn send_immediate(shared: &Shared, out: &Mutex<TcpStream>, line: &str) -> std::io::Result<()> {
+fn send_immediate(shared: &ServerState, out: &Mutex<TcpStream>, line: &str) -> std::io::Result<()> {
     match write_line(out, line) {
         Ok(()) => {
             shared.metrics.responses.inc();
@@ -572,7 +572,7 @@ fn send_immediate(shared: &Shared, out: &Mutex<TcpStream>, line: &str) -> std::i
     }
 }
 
-fn conn_main(conn_id: u64, stream: TcpStream, shared: Arc<Shared>) {
+fn conn_main(conn_id: u64, stream: TcpStream, shared: Arc<ServerState>) {
     let write_half = match stream.try_clone() {
         Ok(s) => s,
         Err(_) => {
@@ -652,7 +652,7 @@ fn conn_main(conn_id: u64, stream: TcpStream, shared: Arc<Shared>) {
 
 #[allow(clippy::too_many_arguments)]
 fn handle_frame(
-    shared: &Arc<Shared>,
+    shared: &Arc<ServerState>,
     out: &Mutex<TcpStream>,
     pending_tx: &Sender<PendingReply>,
     in_flight: &AtomicU64,
@@ -748,7 +748,7 @@ fn handle_frame(
     Ok(())
 }
 
-fn reject_busy(shared: &Shared, out: &Mutex<TcpStream>, id: u64) -> std::io::Result<()> {
+fn reject_busy(shared: &ServerState, out: &Mutex<TcpStream>, id: u64) -> std::io::Result<()> {
     shared.metrics.rejected_busy.inc();
     send_immediate(shared, out, &proto::busy_line(Some(id)))
 }
@@ -758,7 +758,7 @@ fn reject_busy(shared: &Shared, out: &Mutex<TcpStream>, id: u64) -> std::io::Res
 /// engine. Emitted *after* submit because the id does not exist
 /// earlier; the events' own timestamps restore wire order.
 fn emit_frame_events(
-    shared: &Shared,
+    shared: &ServerState,
     trace_id: Option<u64>,
     conn_id: u64,
     read_ns: u64,
@@ -779,7 +779,7 @@ fn emit_frame_events(
 fn writer_main(
     pending: Receiver<PendingReply>,
     out: Arc<Mutex<TcpStream>>,
-    shared: Arc<Shared>,
+    shared: Arc<ServerState>,
     in_flight: Arc<AtomicU64>,
 ) {
     // Watch state is writer-local: the interval, the next push
@@ -901,7 +901,7 @@ fn writer_main(
 /// cumulative registries + per-worker rows + the slow ring + `net.*`
 /// counters. One brief pool lock copies everything out; serialization
 /// happens after the lock drops.
-fn stats_object(shared: &Shared) -> String {
+fn stats_object(shared: &ServerState) -> String {
     let at_ns = shared.clock.now_ns();
     let (report, rows, window, cumulative, slow) = {
         let mut pool = lock(&shared.pool);

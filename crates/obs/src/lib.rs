@@ -12,40 +12,35 @@
 //!   deterministically, so phase-timing assertions are exact in tests.
 //! * [`Span`] / [`Tracer`] — lightweight begin/finish spans. Finishing a
 //!   span yields its duration and, when tracing is enabled, emits a
-//!   [`SpanRecord`] to the configured [`TraceSink`].
-//! * [`Registry`] — named monotone [`Counter`]s and log2-bucketed
-//!   [`Histogram`]s (latencies, sizes), exportable as JSON lines (one JSON
-//!   object per line) without any serialization dependency.
+//!   [`SpanRecord`] to the configured [`TraceSink`], stamped with the
+//!   tracer's trace id and scope.
+//! * [`Registry`] — named monotone [`Counter`]s, settable [`Gauge`]s and
+//!   log2-bucketed [`Histogram`]s (latencies, sizes), exportable as JSON
+//!   lines (one JSON object per line) without any serialization
+//!   dependency.
 //! * [`TraceSink`] — [`NullSink`] (drop everything), [`CollectingSink`]
 //!   (keep records in memory, for tests), and [`JsonLinesSink`] (write one
 //!   JSON object per record to any [`std::io::Write`]).
 //!
-//! The engine-side types are single-threaded by design, matching the
-//! engine: handles are `Rc`-shared with `Cell`/`RefCell` interiors, so hot
-//! paths pay an increment, not an atomic. Layers that cross threads (the
-//! serving pool) use the [`shared`] module — the `Send + Sync` atomic
-//! twins of the same vocabulary ([`SharedRegistry`], [`EventSink`],
-//! [`SharedClock`]) — and [`jsonl`] provides a tiny std-only JSON line
-//! checker for smoke-testing the exports. The [`window`] module layers
-//! sliding-window views (rates, windowed quantiles) over the cumulative
-//! registries as reader-side snapshot deltas — storage stays cumulative,
-//! and a layer that never ticks a window never reads a clock.
+//! Every type is `Send + Sync`, so one vocabulary serves a single engine
+//! and a replicated pool alike: handles are `Arc`-shared atomics, sinks
+//! and registries lock only to append or to resolve a name, and a pool
+//! hands its clock and sink straight to each replica's engine. [`jsonl`]
+//! provides a tiny std-only JSON line codec for smoke-testing the exports.
+//! The [`window`] module layers sliding-window views (rates, windowed
+//! quantiles) over the cumulative registries as reader-side snapshot
+//! deltas — storage stays cumulative, and a layer that never ticks a
+//! window never reads a clock.
 
 pub mod clock;
 pub mod jsonl;
 pub mod metrics;
-pub mod shared;
 pub mod sink;
 pub mod span;
 pub mod window;
 
 pub use clock::{Clock, ManualClock, WallClock};
 pub use metrics::{bucket_upper_bound, Counter, Gauge, Histogram, HistogramSnapshot, Registry};
-pub use shared::{
-    CollectingEventSink, EventRecord, EventSink, JsonLinesEventSink, NullEventSink, SharedClock,
-    SharedCounter, SharedGauge, SharedHistogram, SharedManualClock, SharedRegistry,
-    SharedWallClock,
-};
 pub use sink::{CollectingSink, JsonLinesSink, NullSink, SpanRecord, TraceSink};
 pub use span::{Span, Tracer};
 pub use window::{RegistrySnapshot, SnapshotRing, WindowView};
@@ -73,7 +68,35 @@ pub fn json_escape(s: &str, out: &mut String) {
 
 #[cfg(test)]
 mod tests {
-    use super::json_escape;
+    use super::*;
+
+    /// Compiles only if every public type of the crate can cross threads.
+    #[test]
+    fn every_public_type_is_send_and_sync() {
+        fn assert_send_sync<T: Send + Sync + ?Sized>() {}
+        assert_send_sync::<dyn Clock>();
+        assert_send_sync::<WallClock>();
+        assert_send_sync::<ManualClock>();
+        assert_send_sync::<Counter>();
+        assert_send_sync::<Gauge>();
+        assert_send_sync::<Histogram>();
+        assert_send_sync::<HistogramSnapshot>();
+        assert_send_sync::<Registry>();
+        assert_send_sync::<dyn TraceSink>();
+        assert_send_sync::<SpanRecord>();
+        assert_send_sync::<NullSink>();
+        assert_send_sync::<CollectingSink>();
+        assert_send_sync::<JsonLinesSink<Vec<u8>>>();
+        assert_send_sync::<JsonLinesSink<std::io::Stderr>>();
+        assert_send_sync::<Span>();
+        assert_send_sync::<Tracer>();
+        assert_send_sync::<RegistrySnapshot>();
+        assert_send_sync::<SnapshotRing>();
+        assert_send_sync::<WindowView>();
+        assert_send_sync::<jsonl::JsonError>();
+        assert_send_sync::<jsonl::JsonValue>();
+        assert_send_sync::<jsonl::ObjectBuilder>();
+    }
 
     #[test]
     fn escapes_quotes_backslashes_and_controls() {

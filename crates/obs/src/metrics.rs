@@ -1,15 +1,25 @@
 //! A metrics registry: named monotone counters, settable gauges, and
 //! log2-bucketed histograms, with a JSON-lines export.
 //!
-//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are `Rc`-shared with the
-//! registry, so a hot path resolves its metric once at construction time and
-//! then pays a `Cell` increment per event — no string hashing per
-//! observation.
+//! Handles ([`Counter`], [`Gauge`], [`Histogram`]) are `Arc`-shared with the
+//! registry and `Send + Sync`, so a hot path resolves its metric once at
+//! construction time and then pays one relaxed atomic per counter bump —
+//! no string hashing and no lock per observation. The registry's maps sit
+//! behind one mutex, taken only when *resolving* a handle or exporting.
+//!
+//! Overflow: a [`Counter`] wraps at 2^64 (a plain `fetch_add`; no count of
+//! events reaches it), a [`Gauge`] saturates at both ends, and a
+//! [`Histogram`]'s sum saturates at `u64::MAX`.
+//!
+//! Consistency: a histogram observation updates several atomics without a
+//! lock, so a concurrent snapshot is *monotone* (every recorded field is a
+//! value that existed) but not a consistent cut; under quiescence —
+//! barriers, test assertions — it is exact.
 
 use crate::json_escape;
-use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
-use std::rc::Rc;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard};
 
 /// Number of histogram buckets: bucket 0 holds the value 0, bucket `i ≥ 1`
 /// holds values in `[2^(i-1), 2^i)`, and bucket 64 holds the top of the
@@ -47,9 +57,9 @@ pub fn bucket_upper_bound(i: usize) -> u64 {
     }
 }
 
-/// A named monotone counter. Cloning shares the underlying cell.
+/// A named monotone counter. Cloning shares the underlying atomic.
 #[derive(Clone, Debug, Default)]
-pub struct Counter(Rc<Cell<u64>>);
+pub struct Counter(Arc<AtomicU64>);
 
 impl Counter {
     pub fn inc(&self) {
@@ -57,62 +67,70 @@ impl Counter {
     }
 
     pub fn add(&self, n: u64) {
-        self.0.set(self.0.get().saturating_add(n));
+        self.0.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Overwrite the value — used to mirror counters owned by another layer
     /// (e.g. the evaluator's fuel tally) into the registry at export time.
     pub fn set(&self, n: u64) {
-        self.0.set(n);
+        self.0.store(n, Ordering::Relaxed);
     }
 
     pub fn get(&self) -> u64 {
-        self.0.get()
+        self.0.load(Ordering::Relaxed)
     }
 }
 
 /// A named settable gauge: a point-in-time level (queue depth, replay
-/// lag), not a monotone tally. Cloning shares the underlying cell. In the
-/// JSON-lines export a gauge carries `"kind":"gauge"`, so dashboards can
-/// tell levels from rates without name conventions.
+/// lag), not a monotone tally. Cloning shares the underlying atomic. In
+/// the JSON-lines export a gauge carries `"kind":"gauge"`, so dashboards
+/// can tell levels from rates without name conventions.
 #[derive(Clone, Debug, Default)]
-pub struct Gauge(Rc<Cell<u64>>);
+pub struct Gauge(Arc<AtomicU64>);
 
 impl Gauge {
     pub fn set(&self, n: u64) {
-        self.0.set(n);
+        self.0.store(n, Ordering::Relaxed);
     }
 
+    /// Saturating increment: a gauge never wraps above `u64::MAX`.
     pub fn add(&self, n: u64) {
-        self.0.set(self.0.get().saturating_add(n));
+        self.update(|v| v.saturating_add(n));
     }
 
+    /// Saturating decrement: a gauge never wraps below zero.
     pub fn sub(&self, n: u64) {
-        self.0.set(self.0.get().saturating_sub(n));
+        self.update(|v| v.saturating_sub(n));
     }
 
     pub fn get(&self) -> u64 {
-        self.0.get()
+        self.0.load(Ordering::Relaxed)
+    }
+
+    fn update(&self, f: impl Fn(u64) -> u64) {
+        let _ = self
+            .0
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |v| Some(f(v)));
     }
 }
 
 #[derive(Debug)]
 struct HistogramData {
-    count: u64,
-    sum: u64,
-    min: u64,
-    max: u64,
-    buckets: [u64; HISTOGRAM_BUCKETS],
+    count: AtomicU64,
+    sum: AtomicU64,
+    min: AtomicU64,
+    max: AtomicU64,
+    buckets: [AtomicU64; HISTOGRAM_BUCKETS],
 }
 
 impl Default for HistogramData {
     fn default() -> Self {
         HistogramData {
-            count: 0,
-            sum: 0,
-            min: u64::MAX,
-            max: 0,
-            buckets: [0; HISTOGRAM_BUCKETS],
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+            min: AtomicU64::new(u64::MAX),
+            max: AtomicU64::new(0),
+            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
         }
     }
 }
@@ -228,45 +246,64 @@ impl HistogramSnapshot {
 /// A log2-bucketed histogram for latencies and sizes. Cloning shares the
 /// underlying data.
 #[derive(Clone, Debug, Default)]
-pub struct Histogram(Rc<RefCell<HistogramData>>);
+pub struct Histogram(Arc<HistogramData>);
 
 impl Histogram {
     pub fn observe(&self, v: u64) {
-        let mut h = self.0.borrow_mut();
-        h.count += 1;
-        h.sum = h.sum.saturating_add(v);
-        h.min = h.min.min(v);
-        h.max = h.max.max(v);
-        h.buckets[bucket_index(v)] += 1;
+        let h = &self.0;
+        h.count.fetch_add(1, Ordering::Relaxed);
+        let _ = h
+            .sum
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |s| {
+                Some(s.saturating_add(v))
+            });
+        // A plain load first: once the extremes settle, most observations
+        // move neither, and a load is cheaper than a read-modify-write.
+        if v < h.min.load(Ordering::Relaxed) {
+            h.min.fetch_min(v, Ordering::Relaxed);
+        }
+        if v > h.max.load(Ordering::Relaxed) {
+            h.max.fetch_max(v, Ordering::Relaxed);
+        }
+        h.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
     }
 
     pub fn count(&self) -> u64 {
-        self.0.borrow().count
+        self.0.count.load(Ordering::Relaxed)
     }
 
     pub fn sum(&self) -> u64 {
-        self.0.borrow().sum
+        self.0.sum.load(Ordering::Relaxed)
     }
 
     pub fn snapshot(&self) -> HistogramSnapshot {
-        let h = self.0.borrow();
+        let h = &self.0;
         HistogramSnapshot {
-            count: h.count,
-            sum: h.sum,
-            min: h.min,
-            max: h.max,
+            count: h.count.load(Ordering::Relaxed),
+            sum: h.sum.load(Ordering::Relaxed),
+            min: h.min.load(Ordering::Relaxed),
+            max: h.max.load(Ordering::Relaxed),
             buckets: h
                 .buckets
                 .iter()
                 .enumerate()
-                .filter(|(_, &c)| c > 0)
-                .map(|(i, &c)| (i, c))
+                .filter_map(|(i, c)| {
+                    let c = c.load(Ordering::Relaxed);
+                    (c > 0).then_some((i, c))
+                })
                 .collect(),
         }
     }
 
     fn reset(&self) {
-        *self.0.borrow_mut() = HistogramData::default();
+        let h = &self.0;
+        h.count.store(0, Ordering::Relaxed);
+        h.sum.store(0, Ordering::Relaxed);
+        h.min.store(u64::MAX, Ordering::Relaxed);
+        h.max.store(0, Ordering::Relaxed);
+        for b in &h.buckets {
+            b.store(0, Ordering::Relaxed);
+        }
     }
 }
 
@@ -278,9 +315,14 @@ impl Histogram {
 /// before the reset keep working.
 #[derive(Debug, Default)]
 pub struct Registry {
-    counters: RefCell<BTreeMap<String, Counter>>,
-    gauges: RefCell<BTreeMap<String, Gauge>>,
-    histograms: RefCell<BTreeMap<String, Histogram>>,
+    inner: Mutex<RegistryMaps>,
+}
+
+#[derive(Debug, Default)]
+struct RegistryMaps {
+    counters: BTreeMap<String, Counter>,
+    gauges: BTreeMap<String, Gauge>,
+    histograms: BTreeMap<String, Histogram>,
 }
 
 impl Registry {
@@ -288,25 +330,31 @@ impl Registry {
         Registry::default()
     }
 
+    fn lock(&self) -> MutexGuard<'_, RegistryMaps> {
+        // Poison-tolerant: metric maps are only ever inserted into, so a
+        // panic mid-insert leaves them structurally sound.
+        self.inner.lock().unwrap_or_else(|e| e.into_inner())
+    }
+
     pub fn counter(&self, name: &str) -> Counter {
-        self.counters
-            .borrow_mut()
+        self.lock()
+            .counters
             .entry(name.to_string())
             .or_default()
             .clone()
     }
 
     pub fn gauge(&self, name: &str) -> Gauge {
-        self.gauges
-            .borrow_mut()
+        self.lock()
+            .gauges
             .entry(name.to_string())
             .or_default()
             .clone()
     }
 
     pub fn histogram(&self, name: &str) -> Histogram {
-        self.histograms
-            .borrow_mut()
+        self.lock()
+            .histograms
             .entry(name.to_string())
             .or_default()
             .clone()
@@ -314,29 +362,55 @@ impl Registry {
 
     /// Current value of a counter (0 if it was never created).
     pub fn counter_value(&self, name: &str) -> u64 {
-        self.counters
-            .borrow()
-            .get(name)
-            .map(|c| c.get())
-            .unwrap_or(0)
+        self.lock().counters.get(name).map(|c| c.get()).unwrap_or(0)
     }
 
     /// Current value of a gauge (0 if it was never created).
     pub fn gauge_value(&self, name: &str) -> u64 {
-        self.gauges.borrow().get(name).map(|g| g.get()).unwrap_or(0)
+        self.lock().gauges.get(name).map(|g| g.get()).unwrap_or(0)
     }
 
     /// Zero every counter, gauge, and histogram, keeping existing handles
     /// live.
     pub fn reset(&self) {
-        for c in self.counters.borrow().values() {
+        let maps = self.lock();
+        for c in maps.counters.values() {
             c.set(0);
         }
-        for g in self.gauges.borrow().values() {
+        for g in maps.gauges.values() {
             g.set(0);
         }
-        for h in self.histograms.borrow().values() {
+        for h in maps.histograms.values() {
             h.reset();
+        }
+    }
+
+    /// Capture every metric's current value into a point-in-time
+    /// [`crate::window::RegistrySnapshot`] stamped `at_ns`.
+    ///
+    /// The timestamp is **caller-supplied**, not read from a clock here:
+    /// windowing is a reader-side view, and a layer that never ticks its
+    /// window must be able to prove it performs zero clock reads (the
+    /// [`crate::ManualClock::reads`] discipline).
+    pub fn snapshot(&self, at_ns: u64) -> crate::window::RegistrySnapshot {
+        let maps = self.lock();
+        crate::window::RegistrySnapshot {
+            at_ns,
+            counters: maps
+                .counters
+                .iter()
+                .map(|(n, c)| (n.clone(), c.get()))
+                .collect(),
+            gauges: maps
+                .gauges
+                .iter()
+                .map(|(n, g)| (n.clone(), g.get()))
+                .collect(),
+            histograms: maps
+                .histograms
+                .iter()
+                .map(|(n, h)| (n.clone(), h.snapshot()))
+                .collect(),
         }
     }
 
@@ -352,14 +426,15 @@ impl Registry {
     /// Bucket entries are `[index, count]` pairs where index `i` covers
     /// values in `[2^(i-1), 2^i)` (index 0 is the value 0).
     pub fn to_json_lines(&self) -> String {
+        let maps = self.lock();
         let mut out = String::new();
-        for (name, c) in self.counters.borrow().iter() {
+        for (name, c) in maps.counters.iter() {
             json_metric_value_line(&mut out, "counter", name, c.get());
         }
-        for (name, g) in self.gauges.borrow().iter() {
+        for (name, g) in maps.gauges.iter() {
             json_metric_value_line(&mut out, "gauge", name, g.get());
         }
-        for (name, h) in self.histograms.borrow().iter() {
+        for (name, h) in maps.histograms.iter() {
             json_histogram_line(&mut out, name, &h.snapshot());
         }
         out
@@ -367,7 +442,7 @@ impl Registry {
 }
 
 /// Render one `{"kind":…,"name":…,"value":…}` metric line (plus newline).
-pub(crate) fn json_metric_value_line(out: &mut String, kind: &str, name: &str, value: u64) {
+fn json_metric_value_line(out: &mut String, kind: &str, name: &str, value: u64) {
     out.push_str("{\"kind\":\"");
     out.push_str(kind);
     out.push_str("\",\"name\":\"");
@@ -376,7 +451,7 @@ pub(crate) fn json_metric_value_line(out: &mut String, kind: &str, name: &str, v
 }
 
 /// Render one histogram metric line (plus newline) from a snapshot.
-pub(crate) fn json_histogram_line(out: &mut String, name: &str, s: &HistogramSnapshot) {
+fn json_histogram_line(out: &mut String, name: &str, s: &HistogramSnapshot) {
     out.push_str("{\"kind\":\"histogram\",\"name\":\"");
     json_escape(name, out);
     let min = if s.count == 0 { 0 } else { s.min };
@@ -437,6 +512,46 @@ mod tests {
         assert_eq!(s.max, 300);
         assert_eq!(s.buckets, vec![(0, 1), (1, 1), (3, 2), (9, 1)]);
         assert_eq!(s.mean(), 62);
+
+        // The top of the range lands in bucket 64, and the sum saturates
+        // rather than wrapping.
+        h.observe(u64::MAX);
+        let s = h.snapshot();
+        assert_eq!(s.count, 6);
+        assert_eq!(s.sum, u64::MAX);
+        assert_eq!(s.max, u64::MAX);
+        assert_eq!(s.buckets, vec![(0, 1), (1, 1), (3, 2), (9, 1), (64, 1)]);
+        assert_eq!(s.quantile(0.5), 7);
+    }
+
+    #[test]
+    fn handles_share_state_across_clones_and_threads() {
+        let reg = Registry::new();
+        let (c, g, h) = (reg.counter("x"), reg.gauge("d"), reg.histogram("lat"));
+        std::thread::scope(|s| {
+            for _ in 0..2 {
+                let (c, g, h) = (c.clone(), g.clone(), h.clone());
+                s.spawn(move || {
+                    for v in [1, 5, 300] {
+                        c.add(2);
+                        g.add(5);
+                        h.observe(v);
+                    }
+                });
+            }
+        });
+        c.inc();
+        g.sub(2);
+        assert_eq!(reg.counter_value("x"), 13);
+        assert_eq!(reg.gauge_value("d"), 28);
+        let s = reg.histogram("lat").snapshot();
+        assert_eq!((s.count, s.sum, s.min, s.max), (6, 612, 1, 300));
+        assert_eq!(s.buckets, vec![(1, 2), (3, 2), (9, 2)]);
+        g.sub(100);
+        assert_eq!(g.get(), 0, "gauges saturate at zero");
+        g.set(u64::MAX - 1);
+        g.add(5);
+        assert_eq!(g.get(), u64::MAX, "and at the top");
     }
 
     #[test]

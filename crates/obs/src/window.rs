@@ -9,8 +9,8 @@
 //! touching the write side at all:
 //!
 //! * [`RegistrySnapshot`] — a point-in-time copy of a
-//!   [`crate::SharedRegistry`]'s values, stamped with a caller-supplied
-//!   timestamp ([`crate::SharedRegistry::snapshot`]).
+//!   [`crate::Registry`]'s values, stamped with a caller-supplied
+//!   timestamp ([`crate::Registry::snapshot`]).
 //! * [`SnapshotRing`] — a bounded ring of snapshots taken at (roughly)
 //!   regular intervals. Pushing evicts the oldest; the ring is the only
 //!   state windowing adds.
@@ -23,7 +23,7 @@
 //! spawns a thread. The owner of a ring decides when to tick (and stamps
 //! the snapshot with a time it read itself), so a layer with windowing
 //! disabled performs zero clock reads — provable with
-//! [`crate::SharedManualClock::reads`] — and under a manual clock the
+//! [`crate::ManualClock::reads`] — and under a manual clock the
 //! whole view is deterministic.
 
 use crate::metrics::HistogramSnapshot;
@@ -186,7 +186,7 @@ impl WindowView {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::SharedRegistry;
+    use crate::Registry;
 
     #[test]
     fn ring_evicts_oldest_at_capacity() {
@@ -215,7 +215,7 @@ mod tests {
 
     #[test]
     fn window_rates_and_quantiles_are_deterministic_deltas() {
-        let reg = SharedRegistry::new();
+        let reg = Registry::new();
         let c = reg.counter("req");
         let h = reg.histogram("lat");
         c.add(10);
@@ -243,7 +243,7 @@ mod tests {
 
     #[test]
     fn window_handles_metrics_minted_mid_window() {
-        let reg = SharedRegistry::new();
+        let reg = Registry::new();
         reg.counter("old").add(5);
         let earlier = reg.snapshot(0);
         reg.counter("new").add(7);
@@ -257,7 +257,7 @@ mod tests {
 
     #[test]
     fn zero_span_window_has_zero_rates() {
-        let reg = SharedRegistry::new();
+        let reg = Registry::new();
         reg.counter("c").add(3);
         let a = reg.snapshot(5);
         reg.counter("c").add(3);
@@ -269,9 +269,9 @@ mod tests {
 
     #[test]
     fn snapshotting_never_reads_a_clock() {
-        use crate::{SharedClock, SharedManualClock};
-        let clock = SharedManualClock::new();
-        let reg = SharedRegistry::new();
+        use crate::{Clock, ManualClock};
+        let clock = ManualClock::new();
+        let reg = Registry::new();
         reg.counter("c").inc();
         // The caller stamps the time: the snapshot itself takes whatever
         // it is handed and performs no reads of its own.

@@ -75,8 +75,7 @@ mod worker;
 pub use crate::log::{DeclLog, TruncatedRead};
 pub use health::{Health, HealthReport, HealthThresholds, WindowConfig, WorkerRow};
 pub use polyview::obs::{
-    CollectingEventSink, EventRecord, EventSink, JsonLinesEventSink, NullEventSink, SharedClock,
-    SharedManualClock, SharedWallClock,
+    Clock, CollectingSink, JsonLinesSink, ManualClock, NullSink, SpanRecord, TraceSink, WallClock,
 };
 pub use polyview::StmtClass;
 pub use router::{BatchTicket, Pool, Submit, Ticket, WorkerGate};
@@ -119,14 +118,14 @@ pub struct PoolConfig {
     /// [`PoolConfig::slow_threshold_ns`].
     pub telemetry_enabled: bool,
     /// Where trace events go when telemetry is enabled. Default:
-    /// [`NullEventSink`] (histograms and the slow log still fill — the
+    /// [`NullSink`] (histograms and the slow log still fill — the
     /// sink only carries the per-event records).
-    pub event_sink: Arc<dyn EventSink>,
+    pub event_sink: Arc<dyn TraceSink>,
     /// The shared time source for every telemetry timestamp (router,
-    /// workers, and — bridged — the engines' own phase spans). Default:
-    /// [`SharedWallClock`]; inject a [`SharedManualClock`] for
-    /// deterministic timelines in tests.
-    pub telemetry_clock: Arc<dyn SharedClock>,
+    /// workers, and the engines' own phase spans). Default:
+    /// [`WallClock`]; inject a [`ManualClock`] for deterministic
+    /// timelines in tests.
+    pub telemetry_clock: Arc<dyn Clock>,
     /// End-to-end latency at or above which a request is recorded in the
     /// bounded slow-request ring ([`Pool::slow_requests`]). `None`
     /// (default): no slow log.
@@ -175,8 +174,8 @@ impl Default for PoolConfig {
             fuel: None,
             load_prelude: false,
             telemetry_enabled: false,
-            event_sink: Arc::new(NullEventSink),
-            telemetry_clock: Arc::new(SharedWallClock::new()),
+            event_sink: Arc::new(NullSink),
+            telemetry_clock: Arc::new(WallClock::new()),
             slow_threshold_ns: None,
             slow_log_capacity: 32,
             profile_sample_every: None,
@@ -244,16 +243,16 @@ impl PoolConfig {
     }
 
     /// Install an event sink **and enable telemetry**.
-    pub fn event_sink(mut self, sink: Arc<dyn EventSink>) -> Self {
+    pub fn event_sink(mut self, sink: Arc<dyn TraceSink>) -> Self {
         self.event_sink = sink;
         self.telemetry_enabled = true;
         self
     }
 
     /// Replace the telemetry time source. Does *not* enable telemetry by
-    /// itself — tests inject a [`SharedManualClock`] precisely to assert
+    /// itself — tests inject a [`ManualClock`] precisely to assert
     /// the disabled path never reads it.
-    pub fn telemetry_clock(mut self, clock: Arc<dyn SharedClock>) -> Self {
+    pub fn telemetry_clock(mut self, clock: Arc<dyn Clock>) -> Self {
         self.telemetry_clock = clock;
         self
     }

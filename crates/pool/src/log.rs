@@ -132,7 +132,7 @@ impl DeclLog {
     }
 
     /// Append an entry, returning its absolute offset. The router prefers
-    /// [`DeclLog::lock`] so it can reserve the offset and enqueue the
+    /// the crate-internal `DeclLog::lock` so it can reserve the offset and enqueue the
     /// apply-request atomically; this standalone append exists for tests
     /// and for building a log ahead of pool construction.
     pub fn append(&self, src: &str) -> u64 {

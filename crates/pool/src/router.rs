@@ -14,7 +14,7 @@ use crate::supervisor::{spawn_worker, WorkerHandle};
 use crate::telemetry::{RequestTrace, SlowRequest, Telemetry};
 use crate::worker::{BatchItem, Request};
 use crate::{PoolConfig, PoolError};
-use polyview::obs::{EventSink, SharedClock};
+use polyview::obs::{Clock, TraceSink};
 use polyview::{EffectSet, StmtClass};
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, TrySendError};
@@ -510,13 +510,13 @@ impl Pool {
     /// front end (the network door) reads the same clock so its events —
     /// `net.read`, `net.decoded` — land on the same timeline as the
     /// pool's and the engines'.
-    pub fn telemetry_clock(&self) -> Arc<dyn SharedClock> {
+    pub fn telemetry_clock(&self) -> Arc<dyn Clock> {
         Arc::clone(&self.telemetry.clock)
     }
 
     /// The shared sink telemetry events are emitted to, for front ends
     /// stamping their own lifecycle events onto a request's trace.
-    pub fn event_sink(&self) -> Arc<dyn EventSink> {
+    pub fn event_sink(&self) -> Arc<dyn TraceSink> {
         Arc::clone(&self.telemetry.sink)
     }
 
@@ -649,8 +649,8 @@ impl Pool {
 
     /// Make `worker` panic, and wait until its thread is actually dead —
     /// a deterministic chaos hook for supervision tests. The next pool
-    /// interaction ([`Pool::supervise`] runs on every submit, barrier, and
-    /// stats call) respawns it with a full log replay. Do not call while
+    /// interaction (supervision runs on every submit, barrier, and stats
+    /// call) respawns it with a full log replay. Do not call while
     /// the worker is paused (it would never dequeue the crash); use
     /// [`Pool::queue_worker_panic`] + [`Pool::await_worker_exit`] there.
     pub fn inject_worker_panic(&mut self, worker: usize) {

@@ -1,10 +1,10 @@
 //! Pool-level observability: per-worker reports merged into one fleet
 //! snapshot, plus a JSON-lines metrics export.
 //!
-//! Each replica's metrics registry is `Rc`-based and thread-confined, so
-//! aggregation is by message, not by sharing: a `Stats` request makes the
-//! worker snapshot its own counters and render its own registry, and the
-//! pool merges the snapshots ([`polyview::EngineStats::merged`]) and
+//! Each replica's metrics registry lives inside its engine, which is
+//! confined to the worker thread, so aggregation is by message, not by
+//! sharing: a `Stats` request makes the worker snapshot its own counters
+//! and render its own registry, and the pool merges the snapshots ([`polyview::EngineStats::merged`]) and
 //! re-namespaces the registries (`worker3.phase.eval_ns`, …). On top of
 //! the engine counters the pool adds what only it can see: queue depths,
 //! replay lag (log length minus applied offset), submit/backpressure

@@ -4,7 +4,7 @@
 //! One [`Telemetry`] instance is shared (`Arc`) between the router and
 //! every worker — it survives respawns, so a replacement replica keeps
 //! appending to the same histograms and event stream. A request's life is
-//! stamped as [`polyview::obs::EventRecord`]s all carrying the same
+//! stamped as [`polyview::obs::SpanRecord`]s all carrying the same
 //! `trace_id`:
 //!
 //! ```text
@@ -14,7 +14,7 @@
 //! pool.enqueued {worker}            router   (pool.rejected_full on backpressure)
 //! pool.dequeued {worker, generation} worker  dur = queue wait
 //! pool.catchup {replayed}           worker   dur = log replay before serving
-//! engine.parse / infer / translate / eval    bridged spans, parent = trace_id
+//! engine.parse / infer / translate / eval    replica's phase spans, parent = trace_id
 //! pool.completed {worker, generation, ok}    dur = end-to-end
 //! pool.worker_lost {worker}         caller   terminal event when the reply died
 //! ```
@@ -23,18 +23,20 @@
 //! *before* any clock read, id mint, or sink call. With telemetry off
 //! (the default), [`Telemetry::begin`] is one branch returning `None`,
 //! and no request-path code touches the clock or the sink — the tier-1
-//! tracing tests assert zero [`SharedManualClock`] reads on the disabled
+//! tracing tests assert zero [`ManualClock`] reads on the disabled
 //! path, and the `E9_trace_overhead` bench group keeps the claim honest
 //! with numbers.
 //!
-//! Timestamps come from one [`SharedClock`] shared by the router, the
-//! workers, *and* (via a worker-side clock bridge) the engine's own phase
-//! spans, so every event of a trace lives on a single timeline — under
-//! [`SharedManualClock`] the whole lifecycle is exact, which is what the
+//! Timestamps come from one [`Clock`] shared by the router, the workers,
+//! *and* the replicas' engines (each worker hands the pool's clock to its
+//! engine at spawn), so every event of a trace lives on a single timeline
+//! — under [`ManualClock`] the whole lifecycle is exact, which is what the
 //! deterministic tier-1 timeline test pins.
+//!
+//! [`ManualClock`]: polyview::obs::ManualClock
 
 use crate::PoolConfig;
-use polyview::obs::{EventRecord, EventSink, SharedClock, SharedHistogram, SharedRegistry};
+use polyview::obs::{Clock, Histogram, Registry, SpanRecord, TraceSink};
 use polyview::StmtClass;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -79,7 +81,8 @@ pub struct SlowRequest {
     pub e2e_ns: u64,
     pub queue_wait_ns: u64,
     pub catchup_ns: u64,
-    /// The statement source, truncated to [`SLOW_SRC_MAX`] characters.
+    /// The statement source, truncated to 120 characters
+    /// (`SLOW_SRC_MAX`).
     pub src: String,
     /// The request's own attribution profile, present when request
     /// sampling ([`crate::PoolConfig::profile_sample_every`]) happened to
@@ -95,13 +98,13 @@ pub(crate) const SLOW_SRC_MAX: usize = 120;
 /// and the slow-request ring. See the module docs for the event schema.
 pub(crate) struct Telemetry {
     pub(crate) enabled: bool,
-    pub(crate) clock: Arc<dyn SharedClock>,
-    pub(crate) sink: Arc<dyn EventSink>,
-    pub(crate) registry: SharedRegistry,
-    pub(crate) queue_wait_ns: SharedHistogram,
-    pub(crate) catchup_ns: SharedHistogram,
-    pub(crate) e2e_read_ns: SharedHistogram,
-    pub(crate) e2e_write_ns: SharedHistogram,
+    pub(crate) clock: Arc<dyn Clock>,
+    pub(crate) sink: Arc<dyn TraceSink>,
+    pub(crate) registry: Registry,
+    pub(crate) queue_wait_ns: Histogram,
+    pub(crate) catchup_ns: Histogram,
+    pub(crate) e2e_read_ns: Histogram,
+    pub(crate) e2e_write_ns: Histogram,
     slow_threshold_ns: Option<u64>,
     slow_capacity: usize,
     slow: Mutex<VecDeque<SlowRequest>>,
@@ -110,7 +113,7 @@ pub(crate) struct Telemetry {
 
 impl Telemetry {
     pub(crate) fn new(cfg: &PoolConfig) -> Telemetry {
-        let registry = SharedRegistry::new();
+        let registry = Registry::new();
         Telemetry {
             enabled: cfg.telemetry_enabled,
             clock: Arc::clone(&cfg.telemetry_clock),
@@ -135,7 +138,7 @@ impl Telemetry {
         dur_ns: u64,
         attrs: Vec<(String, u64)>,
     ) {
-        self.sink.emit(&EventRecord {
+        self.sink.emit(&SpanRecord {
             name: name.to_string(),
             trace_id,
             parent: None,

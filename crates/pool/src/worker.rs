@@ -24,9 +24,7 @@ use crate::checkpoint::{Checkpoint, CheckpointStore};
 use crate::log::DeclLog;
 use crate::telemetry::{RequestTrace, Telemetry};
 use crate::PoolError;
-use polyview::obs::{EventRecord, EventSink, SharedClock, SpanRecord};
 use polyview::{Engine, EngineStats, Outcome, Profile};
-use std::rc::Rc;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender};
 use std::sync::Arc;
@@ -93,8 +91,8 @@ pub(crate) enum BatchItem {
 }
 
 /// One worker's observability snapshot, produced on its own thread (the
-/// engine's metrics registry is `Rc`-based and cannot cross the channel
-/// itself, so the JSON export is rendered worker-side).
+/// engine is confined to it, so the JSON export of its metrics registry is
+/// rendered worker-side).
 #[derive(Clone, Debug)]
 pub struct WorkerReport {
     pub worker: usize,
@@ -209,19 +207,22 @@ pub(crate) fn worker_main(
     };
     w.shared.applied.store(w.applied, Ordering::Relaxed);
     if telemetry.enabled {
-        // Put the replica's engine on the pool's shared timeline and
-        // forward its phase spans (parse/infer/translate/eval) into the
-        // shared event stream, tagged with the serving request's trace id
-        // — this is what stitches the router's and the replica's views of
-        // one request together. Only wired when telemetry is on: the
-        // disabled pool never touches the shared clock or sink.
-        w.engine
-            .set_clock(Rc::new(ClockBridge(Arc::clone(&telemetry.clock))));
-        w.engine.set_trace_sink(Rc::new(SpanBridge {
-            sink: Arc::clone(&telemetry.sink),
-            worker: index,
-            generation,
-        }));
+        // Put the replica's engine on the pool's timeline and emit its
+        // phase spans (parse/infer/translate/eval) into the pool's sink as
+        // `engine.*` spans naming this replica; `begin_serve` stamps them
+        // with the serving request's trace id — this is what stitches the
+        // router's and the replica's views of one request together. Only
+        // wired when telemetry is on: the disabled pool never touches the
+        // shared clock or sink.
+        w.engine.set_clock(Arc::clone(&telemetry.clock));
+        w.engine.set_trace_sink(Arc::clone(&telemetry.sink));
+        w.engine.set_span_scope(
+            "engine.",
+            vec![
+                ("worker".to_string(), index as u64),
+                ("generation".to_string(), generation),
+            ],
+        );
     }
     let telemetry = &*telemetry;
     if cfg.load_prelude && boot.is_none() {
@@ -373,59 +374,9 @@ struct ServeTrace {
     catchup_ns: u64,
 }
 
-/// Adapts the pool's [`SharedClock`] to the engine's single-threaded
-/// [`polyview::obs::Clock`], so engine phase spans live on the same
-/// timeline as the pool lifecycle events.
-struct ClockBridge(Arc<dyn SharedClock>);
-
-impl polyview::obs::Clock for ClockBridge {
-    fn now_ns(&self) -> u64 {
-        self.0.now_ns()
-    }
-}
-
-/// Forwards the engine's phase [`SpanRecord`]s into the pool's shared
-/// [`EventSink`] as `engine.*` events. The trace id is recovered from the
-/// `request_id` span tag ([`polyview::Engine::set_span_tag`], stamped by
-/// [`Worker::begin_serve`]); spans from untagged work — replay, prelude
-/// load — carry trace id 0 and no parent.
-struct SpanBridge {
-    sink: Arc<dyn EventSink>,
-    worker: usize,
-    generation: u64,
-}
-
-impl polyview::obs::TraceSink for SpanBridge {
-    fn emit(&self, span: &SpanRecord) {
-        let trace_id = span
-            .attrs
-            .iter()
-            .find(|(k, _)| k == "request_id")
-            .map(|&(_, v)| v)
-            .unwrap_or(0);
-        let mut attrs: Vec<(String, u64)> = span
-            .attrs
-            .iter()
-            .filter(|(k, _)| k != "request_id")
-            .cloned()
-            .collect();
-        attrs.push(("worker".to_string(), self.worker as u64));
-        attrs.push(("generation".to_string(), self.generation));
-        self.sink.emit(&EventRecord {
-            name: format!("engine.{}", span.name),
-            trace_id,
-            parent: (trace_id != 0).then_some(trace_id),
-            start_ns: span.start_ns,
-            dur_ns: span.dur_ns,
-            attrs,
-        });
-    }
-}
-
 impl Worker {
     /// Traced-request prologue: stamp the dequeue (queue-wait event +
-    /// histogram) and tag the engine so its phase spans carry the trace
-    /// id. Untraced requests pass straight through (`None`).
+    /// histogram) and give the engine the trace id its phase spans carry. Untraced requests pass straight through (`None`).
     fn begin_serve(
         &mut self,
         telemetry: &Telemetry,
@@ -433,7 +384,7 @@ impl Worker {
     ) -> Option<ServeTrace> {
         let trace = trace?;
         let dequeued_ns = telemetry.note_dequeued(&trace, self.index, self.generation);
-        self.engine.set_span_tag("request_id", trace.id);
+        self.engine.set_trace_id(trace.id);
         Some(ServeTrace {
             trace,
             dequeued_ns,
@@ -454,8 +405,8 @@ impl Worker {
         Some(serve)
     }
 
-    /// Traced-request epilogue: untag the engine, stamp completion (e2e
-    /// event + histogram), and feed the slow log.
+    /// Traced-request epilogue: clear the engine's trace id, stamp
+    /// completion (e2e event + histogram), and feed the slow log.
     fn finish_serve(
         &mut self,
         telemetry: &Telemetry,
@@ -465,7 +416,7 @@ impl Worker {
         profile: Option<Profile>,
     ) {
         let Some(serve) = serve else { return };
-        self.engine.clear_span_tag();
+        self.engine.set_trace_id(0);
         telemetry.note_completed(
             &serve.trace,
             self.index,

@@ -25,6 +25,18 @@ pub struct InferStats {
     pub instantiations: u64,
 }
 
+impl InferStats {
+    /// The work done since `before` (component-wise difference).
+    pub fn since(self, before: InferStats) -> InferStats {
+        InferStats {
+            unify_steps: self.unify_steps - before.unify_steps,
+            occurs_checks: self.occurs_checks - before.occurs_checks,
+            kind_merges: self.kind_merges - before.kind_merges,
+            instantiations: self.instantiations - before.instantiations,
+        }
+    }
+}
+
 /// Mutable state threaded through unification and inference.
 #[derive(Debug, Default)]
 pub struct Infer {

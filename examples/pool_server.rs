@@ -37,7 +37,7 @@
 //! snapshot gate drives both.
 
 use polyview_net::{NetConfig, NetServer};
-use polyview_pool::{CollectingEventSink, Pool, PoolConfig, Submit, WindowConfig};
+use polyview_pool::{CollectingSink, Pool, PoolConfig, Submit, WindowConfig};
 use std::io::Read as _;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc;
@@ -102,7 +102,7 @@ fn run_listen(
     stats_interval_ms: Option<u64>,
     durability: &Durability,
 ) {
-    let sink = Arc::new(CollectingEventSink::new());
+    let sink = Arc::new(CollectingSink::new());
     let mut pool_cfg = durability.apply(PoolConfig::default().workers(4).queue_capacity(256));
     if tracing {
         pool_cfg = pool_cfg.event_sink(sink.clone());
@@ -195,7 +195,7 @@ fn emit_stats_line(line: &str) {
 
 /// Validate and print every collected trace event, one JSON object per
 /// line on stdout (the verify.sh trace gates consume this stream).
-fn dump_events(sink: &CollectingEventSink) {
+fn dump_events(sink: &CollectingSink) {
     let events = sink.take();
     let mut checked = 0usize;
     for ev in &events {
@@ -224,7 +224,7 @@ fn run_in_process(tracing: bool, durability: &Durability) {
     }
 
     let mut cfg = durability.apply(PoolConfig::default().workers(4).queue_capacity(32));
-    let sink = Arc::new(CollectingEventSink::new());
+    let sink = Arc::new(CollectingSink::new());
     if tracing {
         // Collect in memory and dump at the end: the event stream stays
         // ordered per trace and the demo's timing is unaffected. A slow

@@ -24,7 +24,7 @@
 use polyview::eval::Env;
 use polyview::obs::{jsonl, ManualClock};
 use polyview::{Engine, Machine};
-use std::rc::Rc;
+use std::sync::Arc;
 
 fn emit(lines: &str) {
     for line in lines.lines() {
@@ -36,7 +36,7 @@ fn emit(lines: &str) {
 
 fn main() {
     let mut engine = Engine::new();
-    engine.set_clock(Rc::new(ManualClock::with_step(10)));
+    engine.set_clock(Arc::new(ManualClock::with_step(10)));
     engine.machine().enable_extent_cache(true);
     engine
         .exec(
@@ -76,7 +76,7 @@ fn main() {
 
     // The zero-cost-when-off proof: a machine holding a counting clock but
     // no profiler must never read it.
-    let counting = Rc::new(ManualClock::with_step(10));
+    let counting = Arc::new(ManualClock::with_step(10));
     let mut machine = Machine::new();
     machine.set_profile_clock(counting.clone());
     let e = polyview::parser::parse_expr("let f = fn x => x + 1 in f (f 40) end")

@@ -23,7 +23,7 @@
 use polyview::obs::JsonLinesSink;
 use polyview::{Engine, Outcome};
 use std::io::{BufRead, Write};
-use std::rc::Rc;
+use std::sync::Arc;
 
 fn report(engine: &Engine, outcomes: &[Outcome]) {
     for o in outcomes {
@@ -110,7 +110,7 @@ fn main() {
         if let Some(rest) = input.strip_prefix(":trace") {
             match rest.trim() {
                 "on" => {
-                    engine.set_trace_sink(Rc::new(JsonLinesSink::new(std::io::stderr())));
+                    engine.set_trace_sink(Arc::new(JsonLinesSink::new(std::io::stderr())));
                     println!("tracing on (spans to stderr as JSON lines)");
                 }
                 "off" => {

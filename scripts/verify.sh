@@ -39,6 +39,11 @@ cargo fmt --check
 echo "==> cargo clippy -D warnings"
 cargo clippy --workspace --all-targets -- -D warnings
 
+echo "==> rustdoc -D warnings: no dangling or private intra-doc links"
+# A renamed or deleted type leaves its intra-doc links dangling, and
+# rustdoc only warns; this gate turns every warning into a failure.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps --offline
+
 echo "==> dependency hygiene: crates/obs declares no dependencies at all"
 # The observability crate must stay std-only (DESIGN.md §9/§11): not even
 # path dependencies, so it can never grow a transitive external edge.

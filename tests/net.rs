@@ -12,9 +12,7 @@
 
 use polyview::obs::jsonl::JsonValue;
 use polyview_net::{ClientError, NetClient, NetConfig, NetServer, Reply};
-use polyview_pool::{
-    CollectingEventSink, EventRecord, PoolConfig, SharedManualClock, WindowConfig,
-};
+use polyview_pool::{CollectingSink, ManualClock, PoolConfig, SpanRecord, WindowConfig};
 use std::sync::Arc;
 
 fn serve(cfg: NetConfig) -> NetServer {
@@ -287,8 +285,8 @@ fn graceful_drain_completes_in_flight_writes() {
 /// `pool.*` sequencing to the `engine.*` phase spans.
 #[test]
 fn one_trace_id_spans_socket_to_engine() {
-    let sink = Arc::new(CollectingEventSink::new());
-    let clock = Arc::new(SharedManualClock::with_step(1));
+    let sink = Arc::new(CollectingSink::new());
+    let clock = Arc::new(ManualClock::with_step(1));
     let server = serve(
         NetConfig::default().pool(
             PoolConfig::default()
@@ -302,7 +300,7 @@ fn one_trace_id_spans_socket_to_engine() {
     server.shutdown();
 
     let events = sink.events();
-    let accepted: Vec<&EventRecord> = events.iter().filter(|e| e.name == "net.accepted").collect();
+    let accepted: Vec<&SpanRecord> = events.iter().filter(|e| e.name == "net.accepted").collect();
     assert_eq!(accepted.len(), 1, "one connection, one accept event");
     assert_eq!(
         accepted[0].trace_id, 0,
@@ -321,7 +319,7 @@ fn one_trace_id_spans_socket_to_engine() {
     // The full timeline under that one id, socket to engine. The shared
     // step clock gives every span a distinct (end, start) key, so the
     // sort reconstructs the unique timeline.
-    let mut evs: Vec<&EventRecord> = events.iter().filter(|e| e.trace_id == trace).collect();
+    let mut evs: Vec<&SpanRecord> = events.iter().filter(|e| e.trace_id == trace).collect();
     evs.sort_by_key(|e| (e.start_ns + e.dur_ns, e.start_ns));
     let names: Vec<&str> = evs.iter().map(|e| e.name.as_str()).collect();
     assert_eq!(
@@ -345,7 +343,7 @@ fn one_trace_id_spans_socket_to_engine() {
     );
 }
 
-fn attr(e: &EventRecord, key: &str) -> Option<u64> {
+fn attr(e: &SpanRecord, key: &str) -> Option<u64> {
     e.attrs.iter().find(|(k, _)| k == key).map(|&(_, v)| v)
 }
 
@@ -364,7 +362,7 @@ fn member<'v>(members: &'v [(String, JsonValue)], path: &[&str]) -> Option<&'v J
 /// the computed rate is exact.
 #[test]
 fn stats_round_trips_with_deterministic_windows() {
-    let clock = Arc::new(SharedManualClock::new());
+    let clock = Arc::new(ManualClock::new());
     let server = serve(
         NetConfig::default().pool(
             PoolConfig::default()

@@ -6,7 +6,7 @@
 
 use polyview::obs::{CollectingSink, ManualClock};
 use polyview::{Engine, Error};
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// The paper's Section 4 session in miniature: raw employees, a class, and
 /// a salary query over its extent.
@@ -26,7 +26,7 @@ fn explain_reports_every_phase_with_injected_clock() {
     let mut e = Engine::new();
     // Every clock read advances 100ns, so each phase span measures exactly
     // 100ns — deterministically non-zero.
-    e.set_clock(Rc::new(ManualClock::with_step(100)));
+    e.set_clock(Arc::new(ManualClock::with_step(100)));
     e.exec(SESSION).expect("session defines");
 
     let report = e.explain(SALARIES).expect("explains");
@@ -334,8 +334,8 @@ fn metrics_json_is_one_object_per_line_and_mirrors_layers() {
 #[test]
 fn trace_sink_collects_phase_spans_only_when_enabled() {
     let mut e = Engine::new();
-    e.set_clock(Rc::new(ManualClock::with_step(7)));
-    let sink = Rc::new(CollectingSink::new());
+    e.set_clock(Arc::new(ManualClock::with_step(7)));
+    let sink = Arc::new(CollectingSink::new());
     e.set_trace_sink(sink.clone());
 
     e.eval_to_string("1 + 2").expect("runs");

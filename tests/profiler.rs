@@ -9,7 +9,7 @@
 use polyview::eval::Env;
 use polyview::obs::{jsonl, ManualClock};
 use polyview::{Engine, Machine, Profile, ProfileNode};
-use std::rc::Rc;
+use std::sync::Arc;
 
 /// Session exercising every attribution channel: a class with a cached
 /// extent, and a mutual `fun` group with a row-polymorphic field read
@@ -28,7 +28,7 @@ const WORKLOAD: &str = "cquery(fn s => map(fn o => query(fn x => even(step(x)), 
 
 fn profiled_engine() -> Engine {
     let mut e = Engine::new();
-    e.set_clock(Rc::new(ManualClock::with_step(10)));
+    e.set_clock(Arc::new(ManualClock::with_step(10)));
     e.machine().enable_extent_cache(true);
     e.exec(SESSION).expect("session defines");
     e
@@ -327,7 +327,7 @@ fn absorbed_profiles_merge_trees_sites_and_recomputes() {
 
 #[test]
 fn disabled_profiler_never_reads_the_clock() {
-    let counting = Rc::new(ManualClock::with_step(10));
+    let counting = Arc::new(ManualClock::with_step(10));
     let mut m = Machine::new();
     m.set_profile_clock(counting.clone());
     assert!(!m.profiling());
